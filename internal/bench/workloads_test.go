@@ -112,37 +112,37 @@ func TestRunSuiteFilter(t *testing.T) {
 	}
 }
 
-// TestKernelForce runs one engine workload under each forced kernel:
-// the force must reach the clusters (a bogus name fails setup), the
-// deterministic workload observables must match the automatic choice,
-// and the suite must record which kernel it measured.
+// TestKernelForce runs one engine workload with the generic kernel
+// forced: the force must reach the clusters (a bogus or retired name
+// fails setup), the deterministic workload observables must match the
+// automatic choice, and the suite must record which kernel it measured.
 func TestKernelForce(t *testing.T) {
 	filter := regexp.MustCompile(`^engine/apply/serial$`)
 	base, err := RunSuite(tiny, filter, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kernel := range []string{"generic", "swar", "blocked"} {
-		p := tiny
-		p.Kernel = kernel
-		s, err := RunSuite(p, filter, nil)
-		if err != nil {
-			t.Fatalf("kernel %s: %v", kernel, err)
-		}
-		if s.Kernel != kernel {
-			t.Fatalf("suite recorded kernel %q, want %q", s.Kernel, kernel)
-		}
-		got, want := s.Results[0].Metrics, base.Results[0].Metrics
-		for key := range DeterministicMetrics {
-			if got[key] != want[key] {
-				t.Fatalf("kernel %s: deterministic metric %s = %v, auto = %v", kernel, key, got[key], want[key])
-			}
+	p := tiny
+	p.Kernel = "generic"
+	s, err := RunSuite(p, filter, nil)
+	if err != nil {
+		t.Fatalf("kernel generic: %v", err)
+	}
+	if s.Kernel != "generic" {
+		t.Fatalf("suite recorded kernel %q, want generic", s.Kernel)
+	}
+	got, want := s.Results[0].Metrics, base.Results[0].Metrics
+	for key := range DeterministicMetrics {
+		if got[key] != want[key] {
+			t.Fatalf("kernel generic: deterministic metric %s = %v, auto = %v", key, got[key], want[key])
 		}
 	}
-	p := tiny
-	p.Kernel = "vectorized"
-	if _, err := RunSuite(p, filter, nil); err == nil {
-		t.Fatal("unknown kernel name accepted")
+	for _, kernel := range []string{"vectorized", "swar", "blocked"} {
+		p := tiny
+		p.Kernel = kernel
+		if _, err := RunSuite(p, filter, nil); err == nil {
+			t.Fatalf("unknown kernel name %q accepted", kernel)
+		}
 	}
 }
 

@@ -55,11 +55,10 @@ type ClusterConfig struct {
 	// value is the exact scheme.
 	VectorQuant Quant
 	// Kernel forces the MVM kernel variant: KernelAuto (the empty
-	// string, selecting per cluster at NewCluster time), KernelGeneric,
-	// KernelSWAR or KernelBlocked (see kernel.go). All variants are
-	// bit-identical in outputs and statistics; the knob exists for
-	// benchmarks and the kernel equivalence tests. KernelBlocked
-	// requires InjectErrors=false.
+	// string, the packed kernel of kernel.go) or KernelGeneric. Both are
+	// bit-identical in outputs and statistics; the knob exists for the
+	// CI benchmark gate and the kernel equivalence tests, which compare
+	// the packed kernel against the generic loop.
 	Kernel string
 }
 
@@ -221,18 +220,20 @@ type Cluster struct {
 	// uMax is 2^UnsignedBits − 1, the AN corrector's per-unit-popcount
 	// range cap.
 	uMax *big.Int
+	// rowBits[i] is the larger bit length of RowPos[i] and RowNeg[i],
+	// the early-termination pre-check's row bound (settleImpossible).
+	rowBits []int
 	// redWords is the reduction accumulator (reused across columns).
 	redWords []big.Word
 	// sumBits bounds the reduction sum width (coded operand plus
 	// summation growth); it sizes both redWords and the arena.
 	sumBits int
 
-	// kern is the MVM kernel variant selected at NewCluster (kernel.go);
-	// decWords its decode-width specialization (1 = single 64-bit word,
-	// 2 = 128-bit pair, 0 = generic multi-word); packed the interleaved
-	// SWAR mirror of the planes (nil for the generic kernel), immutable
-	// after NewCluster and shared by forks like the planes.
-	kern     kernelKind
+	// decWords is the decode-width specialization selected at
+	// NewCluster (kernel.go): 1 = single 64-bit word, 2 = 128-bit pair,
+	// 0 = generic multi-word. packed is the packed kernel's codeword or
+	// lane mirror (nil selects the generic kernel), immutable after
+	// NewCluster and shared by forks like the planes.
 	decWords int
 	packed   *packedPlanes
 
@@ -328,6 +329,10 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	// Max decoded per-unit-popcount: 2^UnsignedBits − 1.
 	c.uMax = new(big.Int).Lsh(big.NewInt(1), uint(block.Code.UnsignedBits()))
 	c.uMax.Sub(c.uMax, big.NewInt(1))
+	c.rowBits = make([]int, block.M)
+	for i := range c.rowBits {
+		c.rowBits[i] = max(block.RowPos[i].BitLen(), block.RowNeg[i].BitLen())
+	}
 	// Reduction accumulator: coded bits plus the summation growth.
 	c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	c.initArena()
@@ -406,10 +411,10 @@ func (c *Cluster) Fork() *Cluster {
 		corr:      c.corr,
 		bias:      c.bias,
 		uMax:      c.uMax,
+		rowBits:   c.rowBits,
 		sumBits:   c.sumBits,
 		redWords:  make([]big.Word, len(c.redWords)),
 		age:       c.age,
-		kern:      c.kern,
 		decWords:  c.decWords,
 		packed:    c.packed,
 	}
@@ -495,17 +500,13 @@ func (c *Cluster) MulVec(x []float64) ([]float64, error) {
 		y   []float64
 		err error
 	)
-	if c.cfg.ReferenceMVM {
+	switch {
+	case c.cfg.ReferenceMVM:
 		y, err = c.mulVecRef(x)
-	} else {
-		switch c.kern {
-		case kernSWAR:
-			y, err = c.mulVecSWAR(x)
-		case kernBlocked:
-			y, err = c.mulVecBlocked(x)
-		default:
-			y, err = c.mulVecFix(x)
-		}
+	case c.packed != nil:
+		y, err = c.mulVecPacked(x)
+	default:
+		y, err = c.mulVecFix(x)
 	}
 	if c.arr != nil {
 		// Fold the ADC saturation events of this call into the hardware

@@ -33,17 +33,13 @@ type mvArena struct {
 	// and popBig build the corrector's range bound.
 	pBig, maxBig, minBig, popBig big.Int
 	corrScr                      ancode.Scratch
-	// Packed-kernel scratch (kernel.go): fused per-lane AND-popcounts,
-	// per-plane active-cell and decoded counts, per-row settle points,
-	// and the per-slice hoists of the row-major kernel (word spans,
-	// headstart table indices, nonzero-popcount prefix).
-	cnts     []int
-	orCnts   []int
-	pcnts    []int
-	settleAt []int
-	popPfx   []int
-	capIdx   []int
-	xws      [][]uint64
+	// Packed-kernel scratch (kernel.go): per-row codeword sums (low,
+	// high and carry words), fused per-lane AND-popcounts, and per-plane
+	// active-cell and decoded counts.
+	sumLo, sumHi, sumTop []uint64
+	cnts                 []int
+	orCnts               []int
+	pcnts                []int
 }
 
 // initArena sizes the scratch from the cluster's static bounds: running
@@ -69,16 +65,12 @@ func (c *Cluster) initArena() {
 	a.biased = newFixWords(fixWords)
 	a.lo = newFixWords(fixWords)
 	a.hi = newFixWords(fixWords)
+	a.sumLo = make([]uint64, m)
+	a.sumHi = make([]uint64, m)
+	a.sumTop = make([]uint64, m)
 	a.cnts = make([]int, c.nPlanes*c.planeBits)
 	a.orCnts = make([]int, c.nPlanes)
 	a.pcnts = make([]int, c.nPlanes)
-	a.settleAt = make([]int, m)
-	// Per-slice hoists sized for the widest sliceable vector (the slicer
-	// never exceeds maxVecWidth slices), so steady-state MulVec stays
-	// allocation-free on every kernel.
-	a.popPfx = make([]int, maxVecWidth+1)
-	a.capIdx = make([]int, maxVecWidth)
-	a.xws = make([][]uint64, maxVecWidth)
 }
 
 // mulVecFix is the allocation-free MulVec: the same §III-B pipeline as
@@ -215,18 +207,42 @@ func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 // rowSettled runs the early-termination interval test for one row after
 // slice j: the endpoints run + (2^j − 1)·Row± are built as
 // (Row << j) − Row + run — the same integers IntervalSettled sums —
-// without a multiply or an allocation.
+// without a multiply or an allocation. settleImpossible first turns
+// away, without rounding, the rows whose interval is still too wide.
 func (c *Cluster) rowSettled(i, j, scale int) (float64, bool) {
 	ar := &c.arena
-	ar.lo.SetBig(c.block.RowNeg[i])
+	if settleImpossible(ar.run[i].BitLen(), c.rowBits[i], j, scale) {
+		return 0, false
+	}
+	pos, neg := c.block.RowPos[i], c.block.RowNeg[i]
+	ar.lo.SetBig(neg)
 	ar.lo.Lsh(uint(j))
-	ar.lo.SubBig(c.block.RowNeg[i])
+	ar.lo.SubBig(neg)
 	ar.lo.Add(&ar.run[i])
-	ar.hi.SetBig(c.block.RowPos[i])
+	ar.hi.SetBig(pos)
 	ar.hi.Lsh(uint(j))
-	ar.hi.SubBig(c.block.RowPos[i])
+	ar.hi.SubBig(pos)
 	ar.hi.Add(&ar.run[i])
 	return ar.lo.RoundMonotone(&ar.hi, scale, c.cfg.Rounding)
+}
+
+// settleImpossible reports that a row whose running sum has bit length
+// runBits cannot settle after slice j, given the bit length rowBits of
+// the larger row bound |RowPos| or |RowNeg|. The interval width
+// (2^j − 1)·(RowPos − RowNeg) is at least 2^(j+rowBits−2), and two
+// reals that round to one float64 lie in that float's rounding
+// preimage, which holds the running sum and is narrower than two of its
+// ulps, 2^(runBits−52) in integer units. (One ulp is not enough: under
+// round-to-nearest the preimage of a power of two straddles two binades
+// and is 1.5 ulps of the binade below wide.) Subnormal results have a
+// wider ulp and overflowing ones an unbounded preimage, so near either
+// end of the exponent range, and for a zero sum, the full test runs.
+func settleImpossible(runBits, rowBits, j, scale int) bool {
+	lead := runBits - 1 + scale // exponent of the running sum's leading digit
+	if runBits == 0 || rowBits == 0 || lead < -1000 || lead > 1000 {
+		return false
+	}
+	return j+rowBits-2 >= runBits-52
 }
 
 // checkSettleFix applies the early-termination test of checkSettleRef to

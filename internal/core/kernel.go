@@ -8,49 +8,49 @@ import (
 	"memsci/internal/ancode"
 )
 
-// This file implements the specialized MVM kernels: a packed interleaved
-// mirror of the programmed planes (built once at NewCluster and shared
-// by forks, like the planes themselves), a slice-major SWAR kernel that
-// fuses the per-plane column popcounts of one (row, slice) pair into a
-// single pass over packed words, and a row-major cache-blocked kernel
-// that keeps one output row's packed words and running sum resident
-// across all of its vector slices. Both use one- or two-word shift-add,
-// AN-divide and de-bias arithmetic when the cluster's reduction bound
-// allows, falling back to the generic multi-word path otherwise.
+// This file implements the packed MVM kernel: the slice-major traversal
+// of the generic loop in cluster_fix.go (vector slices outer, most
+// significant first; output rows inner; settle checks after every
+// slice) with each (row, slice) reduction Σ_t count_t·2^(t·planeBits)
+// produced from one of two mirrors built once at NewCluster and shared
+// by forks, like the planes themselves:
 //
-// Every kernel is bit-identical to the generic loop in cluster_fix.go
-// (and hence to the big.Int reference of cluster_ref.go) in outputs and
-// statistics; the golden equivalence suite and the kernel property tests
-// enforce this across rounding modes, AN, early termination, CIC,
-// multi-bit cells and error injection.
-
-// kernelKind is the dispatch tag selected once at NewCluster, replacing
-// per-call (and per-row) feature branching in the hot path.
-type kernelKind uint8
-
-const (
-	kernGeneric kernelKind = iota
-	kernSWAR
-	kernBlocked
-)
+//   - codewords, for clusters without error injection. A crossbar's
+//     output for one applied slice is then exact, so after CIC decoding
+//     row i's reduction is Σ U_ik over the inputs k the slice selects,
+//     where U = A·(F + bias) is the cell's codeword. Every absent cell
+//     holds the same codeword U0 = A·bias, so the mirror keeps only the
+//     present cells' deltas U_ik − U0 = A·F_ik, and sumCodewords forms
+//     popX·U0 + Σ (U_ik − U0) for all M rows at once, visiting each
+//     present cell of the slice's set inputs once — instead of
+//     recounting the sum from nPlanes bit planes per row.
+//   - lanes, under injection: every plane's count must pass through the
+//     device-error model in the reference draw order, so each row's
+//     per-plane counts are popcounted from an interleaved bit-plane
+//     mirror (countLanes, planeCounts) and shift-added.
+//
+// Either reduction then runs through one- or two-word AN-divide and
+// de-bias arithmetic when the cluster's reduction bound allows, and the
+// generic multi-word decode otherwise.
+//
+// The kernel is bit-identical to the generic loop (and hence to the
+// big.Int reference of cluster_ref.go) in outputs and statistics; the
+// golden equivalence suite and the kernel property tests enforce this
+// across rounding modes, AN, early termination, CIC, multi-bit cells
+// and error injection.
 
 // ClusterConfig.Kernel force-knob values.
 const (
-	// KernelAuto (the empty string) selects blocked without error
-	// injection and swar with it.
+	// KernelAuto (the empty string) selects the packed kernel.
 	KernelAuto = ""
 	// KernelGeneric forces the scalar per-plane loop of cluster_fix.go.
 	KernelGeneric = "generic"
-	// KernelSWAR forces the packed slice-major kernel.
-	KernelSWAR = "swar"
-	// KernelBlocked forces the packed row-major kernel (requires
-	// InjectErrors=false).
-	KernelBlocked = "blocked"
 )
 
-// selectKernel resolves ClusterConfig.Kernel into a concrete kernel and
-// decode-width specialization for this cluster's static shape. Called at
-// the end of NewCluster; forks inherit the selection.
+// selectKernel resolves ClusterConfig.Kernel into the packed or the
+// generic kernel and the decode-width specialization for this cluster's
+// static shape, and builds the packed mirror. Called at the end of
+// NewCluster; forks inherit the selection.
 func (c *Cluster) selectKernel() error {
 	// Decode-width specialization: the per-(row, slice) reduction is
 	// Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the
@@ -76,49 +76,29 @@ func (c *Cluster) selectKernel() error {
 	}
 	switch c.cfg.Kernel {
 	case KernelGeneric:
-		c.kern = kernGeneric
-	case KernelSWAR:
-		c.kern = kernSWAR
-	case KernelBlocked:
-		if c.cfg.InjectErrors {
-			return fmt.Errorf("core: kernel %q requires InjectErrors=false: its row-major traversal reorders the per-plane stochastic draws", c.cfg.Kernel)
-		}
-		c.kern = kernBlocked
 	case KernelAuto:
-		// The row-major kernel wins on cache locality but permutes the
-		// stochastic draw order across rows; under injection the
-		// slice-major kernel consumes the draw stream in exactly the
-		// reference order.
-		if c.cfg.InjectErrors {
-			c.kern = kernSWAR
-		} else {
-			c.kern = kernBlocked
+		if !c.cfg.ReferenceMVM {
+			c.buildPacked()
 		}
 	default:
-		return fmt.Errorf("core: unknown kernel %q (want %q, %q, %q or auto)",
-			c.cfg.Kernel, KernelGeneric, KernelSWAR, KernelBlocked)
-	}
-	if c.kern != kernGeneric && !c.cfg.ReferenceMVM {
-		c.buildPacked()
+		return fmt.Errorf("core: unknown kernel %q (want %q or auto)", c.cfg.Kernel, KernelGeneric)
 	}
 	return nil
 }
 
 // KernelName reports the MVM kernel variant selected for this cluster
-// with its decode width (e.g. "blocked/128", "swar/64", "generic",
+// with its decode width (e.g. "codeword/128", "lanes/64", "generic",
 // "reference") — diagnostics for benchmarks and equivalence tests.
 func (c *Cluster) KernelName() string {
-	if c.cfg.ReferenceMVM {
+	switch {
+	case c.cfg.ReferenceMVM:
 		return "reference"
-	}
-	var base string
-	switch c.kern {
-	case kernSWAR:
-		base = KernelSWAR
-	case kernBlocked:
-		base = KernelBlocked
-	default:
+	case c.packed == nil:
 		return KernelGeneric
+	}
+	base := "lanes"
+	if c.packed.cwPtr != nil {
+		base = "codeword"
 	}
 	switch c.decWords {
 	case 1:
@@ -129,22 +109,31 @@ func (c *Cluster) KernelName() string {
 	return base + "/multi"
 }
 
-// packedPlanes is the SWAR mirror of a cluster's planes: for output row
-// i and input word w, the level-bit words of every plane sit
-// consecutively ("lanes"), so the inner kernel loop streams contiguous
-// memory, ANDing one input word against all planes at once — replacing
-// nPlanes·bitsPerCell separate bitmap walks per (row, slice) pair.
-// Layout:
-//
-//	words[(i·nW + w)·lanes + t·planeBits + b] = bit b of plane t,
-//	                                            output row i, input word w
-//
-// The mirror is immutable after NewCluster: CIC inversion and static
+// packedPlanes is the packed kernel's mirror of a cluster's programmed
+// state. It is immutable after NewCluster: CIC inversion and static
 // faults are applied before it is built, and refresh re-programs whole
-// clusters through NewCluster. Forks share it the way they share planes.
+// clusters through NewCluster. Forks share it the way they share
+// planes.
 type packedPlanes struct {
 	nW    int // words per input bitmap, (N+63)/64
 	lanes int // nPlanes·planeBits level-bit lanes
+
+	// The codeword mirror of a cluster without error injection, in
+	// compressed sparse columns: input k's present cells are the rows
+	// cwRow[p], p in [cwPtr[k], cwPtr[k+1]), with codeword deltas
+	// U_ik − U0 = A·F_ik ≡ cwLo[p] + 2^64·cwHi[p] (mod 2^128). cwHi is
+	// nil on the one-word decode tier, where sums run mod 2^64.
+	cwPtr      []int
+	cwRow      []int32
+	cwLo, cwHi []uint64
+
+	// words, built only under error injection, is the lane mirror: for
+	// output row i and input word w, the level-bit words of every plane
+	// sit consecutively, so countLanes ANDs one input word against all
+	// planes in one contiguous pass:
+	//
+	//	words[(i·nW + w)·lanes + t·planeBits + b] = bit b of plane t,
+	//	                                            output row i, input word w
 	words []uint64
 
 	// orWords, built only under error injection with multi-bit cells,
@@ -153,7 +142,8 @@ type packedPlanes struct {
 	// orWords[(i·nW + w)·nPlanes + t].
 	orWords []uint64
 
-	// inverted caches the per-(row, plane) CIC flags: inverted[i·nPlanes+t].
+	// inverted caches the per-(row, plane) CIC flags of the lane path:
+	// inverted[i·nPlanes+t].
 	inverted []bool
 
 	// bitsTab, present when ADC headstart is on, tabulates the SAR bit
@@ -166,8 +156,9 @@ type packedPlanes struct {
 	maxCap  int
 }
 
-// buildPacked constructs the packed mirror from the (final, post-CIC,
-// post-fault) planes.
+// buildPacked constructs the packed mirror from the block and the
+// final (post-CIC, post-fault) planes: codeword deltas without error
+// injection, the lane mirror with it, and the headstart table.
 func (c *Cluster) buildPacked() {
 	b := c.block
 	B, nP := c.planeBits, c.nPlanes
@@ -175,16 +166,62 @@ func (c *Cluster) buildPacked() {
 		nW:    (b.N + 63) / 64,
 		lanes: nP * B,
 	}
-	pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
-	pk.inverted = make([]bool, b.M*nP)
-	for i := 0; i < b.M; i++ {
-		for t := 0; t < nP; t++ {
-			pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
-			for lb := 0; lb < B; lb++ {
-				cw := c.planes[t].ColumnWords(lb, i)
-				lane := t*B + lb
-				for w := 0; w < pk.nW; w++ {
-					pk.words[(i*pk.nW+w)*pk.lanes+lane] = cw[w]
+	if c.arr == nil {
+		nnz := 0
+		for _, f := range b.F {
+			if f.Sign() != 0 {
+				nnz++
+			}
+		}
+		pk.cwPtr = make([]int, 1, b.N+1)
+		pk.cwRow = make([]int32, 0, nnz)
+		pk.cwLo = make([]uint64, 0, nnz)
+		if c.decWords != 1 {
+			pk.cwHi = make([]uint64, 0, nnz)
+		}
+		for k := 0; k < b.N; k++ {
+			for i := 0; i < b.M; i++ {
+				f := b.F[i*b.N+k]
+				if f.Sign() == 0 {
+					continue
+				}
+				// A·|F| < 2^126 as a two-word product, negated in two's
+				// complement for negative F.
+				var mLo, mHi uint64
+				for w, v := range f.Bits() {
+					if s := uint(w * wordBits); s < 64 {
+						mLo |= uint64(v) << s
+					} else {
+						mHi |= uint64(v) << (s - 64)
+					}
+				}
+				h, lo := bits.Mul64(mLo, ancode.A)
+				hi := mHi*ancode.A + h
+				if f.Sign() < 0 {
+					var brw uint64
+					lo, brw = bits.Sub64(0, lo, 0)
+					hi, _ = bits.Sub64(0, hi, brw)
+				}
+				pk.cwRow = append(pk.cwRow, int32(i))
+				pk.cwLo = append(pk.cwLo, lo)
+				if pk.cwHi != nil {
+					pk.cwHi = append(pk.cwHi, hi)
+				}
+			}
+			pk.cwPtr = append(pk.cwPtr, len(pk.cwRow))
+		}
+	} else {
+		pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
+		pk.inverted = make([]bool, b.M*nP)
+		for i := 0; i < b.M; i++ {
+			for t := 0; t < nP; t++ {
+				pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
+				for lb := 0; lb < B; lb++ {
+					cw := c.planes[t].ColumnWords(lb, i)
+					lane := t*B + lb
+					for w := 0; w < pk.nW; w++ {
+						pk.words[(i*pk.nW+w)*pk.lanes+lane] = cw[w]
+					}
 				}
 			}
 		}
@@ -229,6 +266,173 @@ func (c *Cluster) buildPacked() {
 		}
 	}
 	c.packed = pk
+}
+
+// sumCodewords sets the arena's reduction words sumLo, sumHi and sumTop
+// of every output row i to Σ U_ik over the inputs k set in the slice
+// words xw (popX of them) — each row's exact, CIC-decoded reduction for
+// the slice. Each row starts from popX absent-cell codewords
+// popX·A·2^Width, and the deltas of the present cells in the set
+// inputs' columns are added in two's complement modulo 2^(64·words).
+// The true sum is non-negative and below the decode tier's bound, so
+// the wrapped result is exact; only the words the tier reads are
+// maintained.
+func (c *Cluster) sumCodewords(popX int, xw []uint64) {
+	pk, ar := c.packed, &c.arena
+	lo, hi, top := ar.sumLo, ar.sumHi, ar.sumTop
+	// Go defines a shift by 64 or more bits as zero, so these three
+	// words hold m·2^s for every Width below 128.
+	m, s := uint64(popX)*ancode.A, uint(c.block.Code.Width)
+	lo0, hi0, top0 := m<<s, m<<(s-64)|m>>(64-s), m>>(128-s)
+	for i := range lo {
+		lo[i], hi[i], top[i] = lo0, hi0, top0
+	}
+	for w, xv := range xw {
+		for ; xv != 0; xv &= xv - 1 {
+			k := w*64 + bits.TrailingZeros64(xv)
+			p0, p1 := pk.cwPtr[k], pk.cwPtr[k+1]
+			rows := pk.cwRow[p0:p1]
+			dl := pk.cwLo[p0:p1]
+			dl = dl[:len(rows)]
+			switch c.decWords {
+			case 1:
+				for p, i := range rows {
+					lo[i] += dl[p]
+				}
+			case 2:
+				dh := pk.cwHi[p0:p1]
+				dh = dh[:len(rows)]
+				for p, i := range rows {
+					var cy uint64
+					lo[i], cy = bits.Add64(lo[i], dl[p], 0)
+					hi[i] += dh[p] + cy
+				}
+			default:
+				dh := pk.cwHi[p0:p1]
+				dh = dh[:len(rows)]
+				for p, i := range rows {
+					var cy uint64
+					lo[i], cy = bits.Add64(lo[i], dl[p], 0)
+					hi[i], cy = bits.Add64(hi[i], dh[p], cy)
+					top[i] += uint64(int64(dh[p])>>63) + cy // sign extension
+				}
+			}
+		}
+	}
+}
+
+// mulVecPacked is the packed kernel: the exact traversal order of
+// mulVecFix — vector slices outer (most significant first), output rows
+// inner, settle checks after every slice — with each row's reduction
+// taken from the slice's codeword column sums or, under error
+// injection, from one fused pass over the row's lanes, and the decode
+// specialized to the cluster's reduction width. Under injection it
+// consumes the stochastic draw stream in the reference order.
+func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
+	b := c.block
+	if len(x) != b.N {
+		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
+	}
+	ar := &c.arena
+	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
+		return nil, err
+	}
+	vs := &ar.vs
+	c.stats.Ops++
+	c.resetPerCall()
+
+	y := ar.y
+	for i := range y {
+		y[i] = 0
+	}
+	if vs.Code.Empty || b.Code.Empty {
+		return y, nil
+	}
+	scale := CombinedScale(b.Code, vs.Code)
+	c.stats.VectorSlicesTotal += vs.Width
+	c.stats.MinSettleSlice = vs.Width
+
+	run := ar.run
+	for i := range run {
+		run[i].SetZero()
+	}
+	settled := ar.settled
+	for i := range settled {
+		settled[i] = false
+	}
+	unsettled := b.M
+
+	codewords := c.packed.cwPtr != nil
+	lmax := 1<<c.planeBits - 1
+	applied := 0
+	for j := vs.Width - 1; j >= 0 && unsettled > 0; j-- {
+		popX := vs.Pop[j]
+		applied++
+		c.stats.VectorSlicesApplied++
+		c.stats.CrossbarActivations += uint64(c.nPlanes)
+		c.stats.MinSettleSlice = j
+
+		if popX == 0 {
+			c.checkSettleFix(&unsettled, y, j, scale, applied)
+			continue
+		}
+		xw := vs.Slices[j].Words()
+		negWeight := vs.Weight(j)
+		capIdx := 0
+		if c.adc.Headstart {
+			capIdx = bits.Len(uint(popX * lmax))
+		}
+		if c.decWords == 0 {
+			ar.biased.SetUint(uint64(popX))
+			ar.biased.Lsh(uint(b.Code.Width))
+		}
+		if codewords {
+			c.sumCodewords(popX, xw)
+		}
+		for i := 0; i < b.M; i++ {
+			if settled[i] {
+				c.stats.ConversionsSkipped += uint64(c.nPlanes)
+				continue
+			}
+			c.stats.Conversions += uint64(c.nPlanes)
+			c.stats.ConversionBits += c.rowConvBits(i, capIdx)
+			var hi, lo uint64
+			if codewords {
+				hi, lo = ar.sumHi[i], ar.sumLo[i]
+				if c.decWords == 0 {
+					clear(c.redWords)
+					c.redWords[0], c.redWords[1], c.redWords[2] = big.Word(lo), big.Word(hi), big.Word(ar.sumTop[i])
+				}
+			} else {
+				c.countLanes(i, xw)
+				c.planeCounts(i, popX, xw)
+				switch c.decWords {
+				case 1:
+					lo = c.reduce64()
+				case 2:
+					hi, lo = c.reduce128()
+				default:
+					c.reduceWords()
+				}
+			}
+			switch c.decWords {
+			case 1:
+				c.apply64(i, j, popX, negWeight, lo)
+			case 2:
+				c.apply128(i, j, popX, negWeight, hi, lo)
+			default:
+				c.decodeAccumulate(i, j, popX, negWeight)
+			}
+		}
+		c.checkSettleFix(&unsettled, y, j, scale, applied)
+	}
+	for i := 0; i < b.M; i++ {
+		if !settled[i] {
+			y[i] = run[i].Round(scale, c.cfg.Rounding)
+			c.stats.ColumnSlicesUsed[i] = vs.Width
+		}
+	}
+	return y, nil
 }
 
 // rowConvBits returns the total SAR bit decisions for one (row, slice)
@@ -476,213 +680,4 @@ func (c *Cluster) applySlow(i, j, popX int, negWeight bool, hi, lo uint64) {
 	ar.biased.SetUint(uint64(popX))
 	ar.biased.Lsh(uint(c.block.Code.Width))
 	c.decodeAccumulate(i, j, popX, negWeight)
-}
-
-// mulVecSWAR is the slice-major packed kernel: the exact traversal order
-// of mulVecFix — vector slices outer (most significant first), output
-// rows inner, settle checks after every slice — with each row's per-plane
-// column popcounts fused into one pass over the interleaved packed words
-// and the decode specialized to the cluster's reduction width. Under
-// error injection it consumes the stochastic draw stream in the
-// reference order, so it is valid (and selected) for InjectErrors runs.
-func (c *Cluster) mulVecSWAR(x []float64) ([]float64, error) {
-	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
-	}
-	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
-	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
-
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil
-	}
-	scale := CombinedScale(b.Code, vs.Code)
-	c.stats.VectorSlicesTotal += vs.Width
-	c.stats.MinSettleSlice = vs.Width
-
-	run := ar.run
-	for i := range run {
-		run[i].SetZero()
-	}
-	settled := ar.settled
-	for i := range settled {
-		settled[i] = false
-	}
-	unsettled := b.M
-
-	lmax := 1<<c.planeBits - 1
-	applied := 0
-	for j := vs.Width - 1; j >= 0 && unsettled > 0; j-- {
-		popX := vs.Pop[j]
-		applied++
-		c.stats.VectorSlicesApplied++
-		c.stats.CrossbarActivations += uint64(c.nPlanes)
-		c.stats.MinSettleSlice = j
-
-		if popX == 0 {
-			c.checkSettleFix(&unsettled, y, j, scale, applied)
-			continue
-		}
-		xw := vs.Slices[j].Words()
-		negWeight := vs.Weight(j)
-		capIdx := 0
-		if c.adc.Headstart {
-			capIdx = bits.Len(uint(popX * lmax))
-		}
-		if c.decWords == 0 {
-			ar.biased.SetUint(uint64(popX))
-			ar.biased.Lsh(uint(b.Code.Width))
-		}
-		for i := 0; i < b.M; i++ {
-			if settled[i] {
-				c.stats.ConversionsSkipped += uint64(c.nPlanes)
-				continue
-			}
-			c.countLanes(i, xw)
-			c.planeCounts(i, popX, xw)
-			c.stats.Conversions += uint64(c.nPlanes)
-			c.stats.ConversionBits += c.rowConvBits(i, capIdx)
-			switch c.decWords {
-			case 1:
-				c.apply64(i, j, popX, negWeight, c.reduce64())
-			case 2:
-				hi, lo := c.reduce128()
-				c.apply128(i, j, popX, negWeight, hi, lo)
-			default:
-				c.reduceWords()
-				c.decodeAccumulate(i, j, popX, negWeight)
-			}
-		}
-		c.checkSettleFix(&unsettled, y, j, scale, applied)
-	}
-	for i := 0; i < b.M; i++ {
-		if !settled[i] {
-			y[i] = run[i].Round(scale, c.cfg.Rounding)
-			c.stats.ColumnSlicesUsed[i] = vs.Width
-		}
-	}
-	return y, nil
-}
-
-// mulVecBlocked is the row-major cache-blocked packed kernel: one output
-// row's packed words (nPlanes·bitsPerCell contiguous uint64 lanes per
-// input word) and running sum stay L1-resident while all of its vector
-// slices are applied, instead of streaming the whole M-row mirror once
-// per slice. Per-row early termination breaks out of the slice loop as
-// soon as the row's IEEE mantissa settles; the slice-major schedule's
-// aggregate counters (slices applied, activations, conversions skipped,
-// settle cutoff) are reconstructed exactly from the per-row settle points
-// by VerticalSettleStats. The traversal reorders only commutative
-// integer additions and stats increments, so outputs and statistics are
-// bit-identical to the generic kernel; stochastic error draws would NOT
-// commute, which is why selectKernel rejects InjectErrors here.
-func (c *Cluster) mulVecBlocked(x []float64) ([]float64, error) {
-	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
-	}
-	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
-	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
-
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil
-	}
-	scale := CombinedScale(b.Code, vs.Code)
-	W := vs.Width
-	c.stats.VectorSlicesTotal += W
-
-	// Hoist the per-slice state the row-major loop revisits M times:
-	// slice word spans, headstart table indices, and the nonzero-popcount
-	// prefix the stats reconstruction needs. Arena-sized for the maximum
-	// vector width; the guard covers callers with custom pads.
-	if W+1 > len(ar.popPfx) {
-		ar.xws = make([][]uint64, W)
-		ar.capIdx = make([]int, W)
-		ar.popPfx = make([]int, W+1)
-	}
-	xws := ar.xws[:W]
-	capIdx := ar.capIdx[:W]
-	pfx := ar.popPfx[:W+1]
-	pfx[0] = 0
-	lmax := 1<<c.planeBits - 1
-	for j := 0; j < W; j++ {
-		xws[j] = vs.Slices[j].Words()
-		nz := 0
-		if vs.Pop[j] != 0 {
-			nz = 1
-			if c.adc.Headstart {
-				capIdx[j] = bits.Len(uint(vs.Pop[j] * lmax))
-			}
-		}
-		pfx[j+1] = pfx[j] + nz
-	}
-
-	et := !c.cfg.DisableEarlyTermination
-	for i := 0; i < b.M; i++ {
-		run := &ar.run[i]
-		run.SetZero()
-		settleAt := 0
-		done := false
-		for j := W - 1; j >= 0; j-- {
-			popX := vs.Pop[j]
-			if popX != 0 {
-				negWeight := vs.Weight(j)
-				c.countLanes(i, xws[j])
-				c.planeCounts(i, popX, xws[j])
-				c.stats.Conversions += uint64(c.nPlanes)
-				c.stats.ConversionBits += c.rowConvBits(i, capIdx[j])
-				switch c.decWords {
-				case 1:
-					c.apply64(i, j, popX, negWeight, c.reduce64())
-				case 2:
-					hi, lo := c.reduce128()
-					c.apply128(i, j, popX, negWeight, hi, lo)
-				default:
-					c.reduceWords()
-					ar.biased.SetUint(uint64(popX))
-					ar.biased.Lsh(uint(b.Code.Width))
-					c.decodeAccumulate(i, j, popX, negWeight)
-				}
-			}
-			if et && j > 0 {
-				if v, ok := c.rowSettled(i, j, scale); ok {
-					y[i] = v
-					c.stats.ColumnSlicesUsed[i] = W - j
-					settleAt = j
-					done = true
-					break
-				}
-			}
-		}
-		if !done {
-			y[i] = run.Round(scale, c.cfg.Rounding)
-			c.stats.ColumnSlicesUsed[i] = W
-		}
-		ar.settleAt[i] = settleAt
-	}
-
-	cutoff, applied, skipped := VerticalSettleStats(W, ar.settleAt, pfx)
-	c.stats.MinSettleSlice = cutoff
-	c.stats.VectorSlicesApplied += applied
-	c.stats.CrossbarActivations += uint64(applied) * uint64(c.nPlanes)
-	c.stats.ConversionsSkipped += skipped * uint64(c.nPlanes)
-	return y, nil
 }

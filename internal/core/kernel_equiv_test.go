@@ -1,28 +1,32 @@
 package core
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"memsci/internal/matgen"
 )
 
-// TestKernelEquivalenceProperty is the specialized kernels' golden gate:
+// TestKernelEquivalenceProperty is the packed kernel's golden gate:
 // across random hardware configurations — all rounding modes, AN on/off,
 // early termination on/off, CIC on/off, headstart on/off, 1- and 2-bit
-// cells, matrix/vector quantization, error injection, and exponent
-// spreads that exercise the 64-bit, 128-bit and multi-word decode tiers —
-// every packed kernel must produce bit-identical outputs and
-// DeepEqual-identical statistics to the forced generic kernel, call
-// after call. At least 4000 (kernel, vector) comparisons are required.
+// cells, matrix/vector quantization, error injection (lane reduction)
+// or none (codeword reduction), and exponent spreads that exercise the
+// 64-bit, 128-bit and multi-word decode tiers — the packed kernel must
+// produce bit-identical outputs and DeepEqual-identical statistics to
+// the forced generic kernel, call after call. At least 4000 vector
+// comparisons are required.
 func TestKernelEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(991))
 	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
 	spreads := []int{4, 20, 60}
 	quants := []Quant{{}, {Mant: 8}, {Mant: 8, Window: 6}}
 	cases := 0
-	const trials = 350
+	const trials = 520
 	for trial := 0; trial < trials; trial++ {
 		cfg := DefaultClusterConfig()
 		cfg.Rounding = modes[rng.Intn(len(modes))]
@@ -54,27 +58,7 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewBlockQuant: %v", trial, err)
 		}
-
-		genCfg := cfg
-		genCfg.Kernel = KernelGeneric
-		gen, err := NewCluster(blk, genCfg)
-		if err != nil {
-			t.Fatalf("trial %d: NewCluster(generic): %v", trial, err)
-		}
-		names := []string{KernelSWAR}
-		if !cfg.InjectErrors {
-			names = append(names, KernelBlocked)
-		}
-		kcs := make([]*Cluster, len(names))
-		for ki, name := range names {
-			kcfg := cfg
-			kcfg.Kernel = name
-			kcs[ki], err = NewCluster(blk, kcfg)
-			if err != nil {
-				t.Fatalf("trial %d: NewCluster(%s): %v", trial, name, err)
-			}
-		}
-
+		gen, kc := kernelPair(t, blk, cfg)
 		for call := 0; call < 8; call++ {
 			var x []float64
 			if call == 3 {
@@ -82,30 +66,8 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 			} else {
 				x = randVec(rng, n, spread, 0.8)
 			}
-			yg, eg := gen.MulVec(x)
-			var want []float64
-			if eg == nil {
-				want = cloneF64(yg)
-			}
-			for ki, kc := range kcs {
-				yk, ek := kc.MulVec(x)
-				if (eg == nil) != (ek == nil) {
-					t.Fatalf("trial %d call %d kernel %s: error mismatch generic=%v kernel=%v",
-						trial, call, names[ki], eg, ek)
-				}
+			if assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("trial %d call %d", trial, call)) {
 				cases++
-				if eg != nil {
-					continue
-				}
-				if !bitsEqual(yk, want) {
-					t.Fatalf("trial %d call %d kernel %s (%s, cfg %+v): outputs differ\nkernel  %v\ngeneric %v",
-						trial, call, names[ki], kc.KernelName(), cfg, yk, want)
-				}
-				ks, gs := *kc.Stats(), *gen.Stats()
-				if !reflect.DeepEqual(ks, gs) {
-					t.Fatalf("trial %d call %d kernel %s (%s, cfg %+v): stats differ\nkernel  %+v\ngeneric %+v",
-						trial, call, names[ki], kc.KernelName(), cfg, ks, gs)
-				}
 			}
 		}
 	}
@@ -114,22 +76,132 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// kernelPair programs blk twice under cfg: once with the generic kernel
+// forced (the oracle) and once with the automatic packed kernel.
+func kernelPair(t *testing.T, blk *Block, cfg ClusterConfig) (gen, packed *Cluster) {
+	t.Helper()
+	genCfg := cfg
+	genCfg.Kernel = KernelGeneric
+	gen, err := NewCluster(blk, genCfg)
+	if err != nil {
+		t.Fatalf("NewCluster(generic): %v", err)
+	}
+	cfg.Kernel = KernelAuto
+	if packed, err = NewCluster(blk, cfg); err != nil {
+		t.Fatalf("NewCluster(auto): %v", err)
+	}
+	return gen, packed
+}
+
+// assertKernelsAgree applies x to both clusters and requires matching
+// errors, Float64bits-equal outputs and DeepEqual cumulative statistics.
+// It reports whether a comparison of outputs took place (false when both
+// calls failed alike).
+func assertKernelsAgree(t *testing.T, gen, kc *Cluster, x []float64, what string) bool {
+	t.Helper()
+	yg, eg := gen.MulVec(x)
+	var want []float64
+	if eg == nil {
+		want = cloneF64(yg)
+	}
+	yk, ek := kc.MulVec(x)
+	if (eg == nil) != (ek == nil) {
+		t.Fatalf("%s: error mismatch generic=%v %s=%v", what, eg, kc.KernelName(), ek)
+	}
+	if eg != nil {
+		return false
+	}
+	if !bitsEqual(yk, want) {
+		t.Fatalf("%s (%s, cfg %+v): outputs differ\nkernel  %v\ngeneric %v",
+			what, kc.KernelName(), kc.cfg, yk, want)
+	}
+	if ks, gs := *kc.Stats(), *gen.Stats(); !reflect.DeepEqual(ks, gs) {
+		t.Fatalf("%s (%s, cfg %+v): stats differ\nkernel  %+v\ngeneric %+v",
+			what, kc.KernelName(), kc.cfg, ks, gs)
+	}
+	return true
+}
+
+// TestKernelEquivalenceRealSizes runs the packed-vs-generic comparison at
+// block shapes whose inputs span one, two and several 64-bit slice words
+// (N = 63, 64, 65, 128, 129, 256, M up to 256), with and without error
+// injection, plus the two serving shapes of the end-to-end benchmark: a
+// 128×128 banded SPD operator at exponent spread 3 and a 256×256 one at
+// spread 2, generated exactly as that benchmark generates them.
+func TestKernelEquivalenceRealSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(995))
+	type shape struct {
+		name   string
+		blk    *Block
+		spread int
+	}
+	var shapes []shape
+	for k, n := range []int{63, 64, 65, 128, 129, 256} {
+		m := []int{17, 256, 64, 128, 33, 256}[k]
+		spread := []int{3, 20, 2, 40, 8, 3}[k]
+		blk, err := NewBlockDense(randBlockVals(rng, m, n, spread, 0.6), MaxPadBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{fmt.Sprintf("%dx%d", m, n), blk, spread})
+	}
+	for _, op := range []struct {
+		rows, spread int
+		margin       float64
+	}{{128, 3, 1}, {256, 2, 2}} {
+		spec := matgen.Spec{Name: "equiv", Rows: op.rows, NNZ: op.rows * 9, SPD: true,
+			Class: matgen.Banded, Band: 16, ExpSpread: op.spread, Seed: 1000, DiagMargin: op.margin}
+		a := spec.Generate()
+		var coefs []Coef
+		for i := 0; i < a.Rows(); i++ {
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				coefs = append(coefs, Coef{Row: i, Col: a.ColIdx[p], Val: a.Vals[p]})
+			}
+		}
+		blk, err := NewBlock(op.rows, op.rows, coefs, MaxPadBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, shape{fmt.Sprintf("banded%d/spread%d", op.rows, op.spread), blk, op.spread})
+	}
+	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
+	for si, sh := range shapes {
+		for _, inject := range []bool{false, true} {
+			cfg := DefaultClusterConfig()
+			cfg.Rounding = modes[si%len(modes)]
+			cfg.InjectErrors = inject
+			cfg.Seed = int64(77 + si)
+			gen, kc := kernelPair(t, sh.blk, cfg)
+			want := "codeword/"
+			if inject {
+				want = "lanes/"
+			}
+			if got := kc.KernelName(); !strings.HasPrefix(got, want) {
+				t.Fatalf("%s inject=%v: kernel %q, want %s*", sh.name, inject, got, want)
+			}
+			for call := 0; call < 3; call++ {
+				x := randVec(rng, sh.blk.N, sh.spread, 0.9)
+				assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("%s inject=%v call %d", sh.name, inject, call))
+			}
+		}
+	}
+}
+
 // TestKernelSelection pins the dispatch policy and its validation: auto
-// selects blocked (row-major) without injection and swar (reference draw
-// order) with it; the force-knob accepts exactly the documented names;
-// blocked is rejected under injection; decode width follows the
-// reduction bound.
+// selects the packed kernel, reducing by codewords without injection and
+// by lanes with it; the force-knob accepts exactly the documented names;
+// decode width follows the reduction bound.
 func TestKernelSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(992))
 	vals := randBlockVals(rng, 4, 6, 10, 1)
 
-	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); !strings.HasPrefix(got, "blocked/") {
-		t.Errorf("auto kernel without injection = %q, want blocked/*", got)
+	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); !strings.HasPrefix(got, "codeword/") {
+		t.Errorf("auto kernel without injection = %q, want codeword/*", got)
 	}
 	inj := DefaultClusterConfig()
 	inj.InjectErrors = true
-	if got := mustCluster(t, vals, inj).KernelName(); !strings.HasPrefix(got, "swar/") {
-		t.Errorf("auto kernel with injection = %q, want swar/*", got)
+	if got := mustCluster(t, vals, inj).KernelName(); !strings.HasPrefix(got, "lanes/") {
+		t.Errorf("auto kernel with injection = %q, want lanes/*", got)
 	}
 	ref := DefaultClusterConfig()
 	ref.ReferenceMVM = true
@@ -146,16 +218,12 @@ func TestKernelSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := DefaultClusterConfig()
-	bad.Kernel = "vectorized" // not a variant
-	if _, err := NewCluster(blk, bad); err == nil {
-		t.Error("unknown kernel name accepted")
-	}
-	injBlocked := DefaultClusterConfig()
-	injBlocked.InjectErrors = true
-	injBlocked.Kernel = KernelBlocked
-	if _, err := NewCluster(blk, injBlocked); err == nil {
-		t.Error("blocked kernel accepted under error injection (draw order would diverge)")
+	for _, name := range []string{"vectorized", "swar", "blocked"} { // not variants
+		bad := DefaultClusterConfig()
+		bad.Kernel = name
+		if _, err := NewCluster(blk, bad); err == nil {
+			t.Errorf("unknown kernel name %q accepted", name)
+		}
 	}
 
 	// Decode tiers: a 4-bit-significand block of ones has a reduction
@@ -164,12 +232,12 @@ func TestKernelSelection(t *testing.T) {
 	narrow := DefaultClusterConfig()
 	narrow.MatrixQuant = Quant{Mant: 4}
 	narrow.VectorQuant = Quant{Mant: 4}
-	if got := mustClusterQuant(t, [][]float64{{1, 1, 1, 1}}, narrow).KernelName(); got != "blocked/64" {
-		t.Errorf("narrow block kernel = %q, want blocked/64", got)
+	if got := mustClusterQuant(t, [][]float64{{1, 1, 1, 1}}, narrow).KernelName(); got != "codeword/64" {
+		t.Errorf("narrow block kernel = %q, want codeword/64", got)
 	}
 	wideVals := [][]float64{{1, ldexp64, 1, 1, 1, 1, 1, 1}}
-	if got := mustCluster(t, wideVals, DefaultClusterConfig()).KernelName(); got != "blocked/multi" {
-		t.Errorf("wide block kernel = %q, want blocked/multi", got)
+	if got := mustCluster(t, wideVals, DefaultClusterConfig()).KernelName(); got != "codeword/multi" {
+		t.Errorf("wide block kernel = %q, want codeword/multi", got)
 	}
 }
 
@@ -207,14 +275,22 @@ func mustClusterQuant(t *testing.T, vals [][]float64, cfg ClusterConfig) *Cluste
 
 // TestKernelSteadyStateZeroAllocs extends the zero-allocation pin to
 // every kernel variant: a warm cluster must run MulVec without a single
-// heap allocation regardless of which kernel was selected.
+// heap allocation regardless of which kernel and reduction were selected.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for _, name := range []string{KernelGeneric, KernelSWAR, KernelBlocked} {
+	for _, name := range []string{"generic", "codeword", "lanes"} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			cfg := DefaultClusterConfig()
-			cfg.Kernel = name
+			switch name {
+			case "generic":
+				cfg.Kernel = KernelGeneric
+			case "lanes":
+				cfg.InjectErrors = true
+			}
 			c := mustCluster(t, randBlockVals(rng, 6, 8, 14, 0.9), cfg)
+			if got := c.KernelName(); !strings.HasPrefix(got, name) {
+				t.Fatalf("cluster runs kernel %q, want %s", got, name)
+			}
 			xs := make([][]float64, 6)
 			for i := range xs {
 				xs[i] = randVec(rng, 8, 18, 0.8)
@@ -274,56 +350,120 @@ func TestSetShifted128(t *testing.T) {
 	}
 }
 
-// TestVerticalSettleStatsMatchesWalk cross-checks the row-major kernel's
-// stats reconstruction against a brute-force replay of the slice-major
-// walk it must account for.
-func TestVerticalSettleStatsMatchesWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(994))
-	for trial := 0; trial < 500; trial++ {
-		W := 1 + rng.Intn(12)
-		M := 1 + rng.Intn(6)
-		pop := make([]int, W)
-		for j := range pop {
-			pop[j] = rng.Intn(3) // 0 = all-zero slice
+// TestKernelEquivalenceSettlePrecheck holds rowSettled's pre-check to
+// the full test it short-cuts: settleImpossible must never turn away a
+// (row, slice) whose interval endpoints RoundMonotone maps to one
+// float64. Running sums are random or sit a few units off a power of
+// two, where round-to-nearest preimages straddle two binades; row
+// bounds put the interval width around the pre-check's threshold; all
+// rounding modes run at ordinary, near-subnormal and near-overflow
+// scales.
+func TestKernelEquivalenceSettlePrecheck(t *testing.T) {
+	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
+
+	// The widest interval that settles: under round-to-nearest,
+	// [2^60 − 64, 2^60 + 128] rounds to 2^60 at both ends although it is
+	// 1.5 ulps of the running sum 2^60 − 2 wide. A one-ulp pre-check
+	// would reject it.
+	run, pos, neg := new(big.Int).Lsh(big.NewInt(1), 60), big.NewInt(130), big.NewInt(-62)
+	run.Sub(run, big.NewInt(2))
+	if _, ok := settleEndpoints(run, pos, neg, 1, 0, NearestEven); !ok {
+		t.Fatal("1.5-ulp round-to-nearest interval does not settle")
+	}
+	if settleImpossible(run.BitLen(), 8, 1, 0) {
+		t.Fatal("pre-check rejects the 1.5-ulp interval that settles")
+	}
+
+	rng := rand.New(rand.NewSource(996))
+	var settled, rejected, tight int
+	for trial := 0; trial < 60000; trial++ {
+		mode := modes[trial%len(modes)]
+		runBits := 1 + rng.Intn(150)
+		run := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(runBits)))
+		run.SetBit(run, runBits-1, 1)
+		if trial%3 == 0 { // a few units below 2^runBits
+			run.Lsh(big.NewInt(1), uint(runBits))
+			run.Sub(run, big.NewInt(1+rng.Int63n(8)))
 		}
-		settle := make([]int, M)
-		for i := range settle {
-			settle[i] = rng.Intn(W) // 0 = ran to the last slice
+		if rng.Intn(2) == 0 {
+			run.Neg(run)
 		}
-		pfx := make([]int, W+1)
-		for j := 0; j < W; j++ {
-			pfx[j+1] = pfx[j]
-			if pop[j] != 0 {
-				pfx[j+1]++
+		j := 1 + rng.Intn(70)
+		rowBits := runBits - 52 - j + 2 + rng.Intn(9) - 5
+		if rowBits < 0 {
+			rowBits = rng.Intn(3)
+		}
+		pos, neg := randBelowBits(rng, rowBits), randBelowBits(rng, rowBits)
+		if rowBits > 0 {
+			if rng.Intn(2) == 0 {
+				pos.SetBit(pos, rowBits-1, 1)
+			} else {
+				neg.SetBit(neg, rowBits-1, 1)
 			}
 		}
-		// Replay: the walk runs slices W-1 down to the minimum settle
-		// point; a row settled at slice s skips every processed
-		// nonzero slice below s.
-		wantCutoff := W
-		for _, s := range settle {
-			if s < wantCutoff {
-				wantCutoff = s
+		if trial%7 == 0 && runBits > 60 {
+			// Just off a power of two with the interval stretched to the
+			// edges of that power's round-to-nearest preimage: ulp/2 below,
+			// a full ulp above (about 1.5 ulps of the running sum).
+			j = 1 + rng.Intn(6)
+			rest := RemainingWeight(j)
+			delta := big.NewInt(1 + rng.Int63n(8))
+			run.Lsh(big.NewInt(1), uint(runBits))
+			run.Sub(run, delta)
+			below := new(big.Int).Lsh(big.NewInt(1), uint(runBits-54))
+			above := new(big.Int).Lsh(big.NewInt(1), uint(runBits-53))
+			neg.Quo(below.Sub(below, delta), rest)
+			pos.Quo(above.Add(above, delta), rest)
+			neg.Sub(neg, big.NewInt(rng.Int63n(3)))
+			pos.Sub(pos, big.NewInt(rng.Int63n(3)))
+			if rng.Intn(2) == 0 { // the mirror image below zero
+				run.Neg(run)
+				pos, neg = neg, pos
 			}
 		}
-		wantApplied := 0
-		var wantSkipped uint64
-		for j := W - 1; j >= wantCutoff; j-- {
-			wantApplied++
-			if pop[j] == 0 {
-				continue
-			}
-			for i := 0; i < M; i++ {
-				if settle[i] > j {
-					wantSkipped++
-				}
+		neg.Neg(neg)
+		var lead int
+		switch trial % 5 {
+		case 0:
+			lead = -1100 + rng.Intn(110) // down to and across the subnormal floor
+		case 1:
+			lead = 990 + rng.Intn(40) // up to and across the overflow threshold
+		default:
+			lead = rng.Intn(2001) - 1000
+		}
+		scale := lead - runBits + 1
+		rb := max(pos.BitLen(), neg.BitLen())
+		_, ok := settleEndpoints(run, pos, neg, j, scale, mode)
+		if settleImpossible(runBits, rb, j, scale) {
+			rejected++
+			if ok {
+				t.Fatalf("trial %d: pre-check rejects a settling row: run=%s pos=%s neg=%s j=%d scale=%d mode=%v",
+					trial, run, pos, neg, j, scale, mode)
 			}
 		}
-		cutoff, applied, skipped := VerticalSettleStats(W, settle, pfx)
-		if cutoff != wantCutoff || applied != wantApplied || skipped != wantSkipped {
-			t.Fatalf("trial %d (W=%d settle=%v pop=%v): got (%d,%d,%d), want (%d,%d,%d)",
-				trial, W, settle, pop, cutoff, applied, skipped,
-				wantCutoff, wantApplied, wantSkipped)
+		if ok {
+			settled++
+			if j+rb-2 >= runBits-53 {
+				tight++ // within one slice of the pre-check's threshold
+			}
 		}
 	}
+	if settled < 5000 || rejected < 5000 || tight < 500 {
+		t.Fatalf("coverage too thin: %d settled (%d near the threshold), %d rejected", settled, tight, rejected)
+	}
+}
+
+// settleEndpoints runs the full interval test of rowSettled on a row
+// with running sum run and bounds pos, neg after slice j.
+func settleEndpoints(run, pos, neg *big.Int, j, scale int, mode RoundingMode) (float64, bool) {
+	rest := RemainingWeight(j)
+	var lo, hi Fix
+	lo.SetBig(new(big.Int).Add(run, new(big.Int).Mul(rest, neg)))
+	hi.SetBig(new(big.Int).Add(run, new(big.Int).Mul(rest, pos)))
+	return lo.RoundMonotone(&hi, scale, mode)
+}
+
+// randBelowBits returns a uniform non-negative integer below 2^bits.
+func randBelowBits(rng *rand.Rand, bits int) *big.Int {
+	return new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
 }

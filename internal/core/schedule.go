@@ -206,35 +206,6 @@ func Covered(groups []Group, matSlices, vecSlices, cutoff int) bool {
 	return true
 }
 
-// VerticalSettleStats summarizes one vertical-schedule MVM in which
-// output column i stopped consuming vector slices after slice settle[i]
-// (settle[i] = 0 means the column ran to the least significant slice).
-// nonzeroPfx is a prefix count with nonzeroPfx[k] = number of slices
-// j < k carrying a nonzero applied popcount (length vecSlices+1).
-//
-// It returns the deepest slice index the whole-array walk reached (the
-// early-termination cutoff: the minimum settle slice), the number of
-// slice steps the walk performed, and the number of per-column
-// conversion opportunities settled columns skipped — counting only
-// nonzero-popcount slices, since an all-zero slice converts nothing for
-// any column. The row-major (cache-blocked) kernel reconstructs the
-// slice-major schedule's counters from per-row settle points with this.
-func VerticalSettleStats(vecSlices int, settle []int, nonzeroPfx []int) (cutoff, applied int, skipped uint64) {
-	cutoff = vecSlices
-	for _, s := range settle {
-		if s < cutoff {
-			cutoff = s
-		}
-	}
-	applied = vecSlices - cutoff
-	for _, s := range settle {
-		if s > cutoff {
-			skipped += uint64(nonzeroPfx[s] - nonzeroPfx[cutoff])
-		}
-	}
-	return cutoff, applied, skipped
-}
-
 func sortInts(a []int) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {

@@ -150,6 +150,12 @@ func (s *Span) StartChild(phase string) *Span {
 // StartChildAt starts a child span with an explicit start time — how the
 // job queue charges the wait between submission and dequeue to a span
 // even though no goroutine was watching the clock in between.
+//
+// The child's start is anchored at the parent's start plus the
+// monotonic offset of start. Durations are monotonic, so a wall-clock
+// step between the parent's and the child's time.Now readings would
+// otherwise shift the child's wall-clock interval against its parent's
+// and make it escape the parent in Validate.
 func (s *Span) StartChildAt(phase string, start time.Time) *Span {
 	if s == nil {
 		return nil
@@ -160,7 +166,7 @@ func (s *Span) StartChildAt(phase string, start time.Time) *Span {
 		ParentID: s.SpanID,
 		Phase:    phase,
 		Node:     s.Node,
-		Start:    start,
+		Start:    s.Start.Add(start.Sub(s.Start)),
 	}
 	s.mu.Lock()
 	s.Children = append(s.Children, c)

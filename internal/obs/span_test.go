@@ -77,6 +77,30 @@ func TestSpanTreeInvariants(t *testing.T) {
 	}
 }
 
+// TestStartChildAtAnchorsOnParentClock pins how same-node child starts
+// are stamped: the parent's wall-clock start plus the monotonic offset,
+// exactly, so a wall-clock step between the two readings cannot push a
+// child outside its parent's interval.
+func TestStartChildAtAnchorsOnParentClock(t *testing.T) {
+	root := NewSpan("n1", "request")
+	for k := 0; k < 100; k++ {
+		start := time.Now()
+		c := root.StartChildAt("forward", start)
+		got := c.Start.UnixNano() - root.Start.UnixNano()
+		if want := start.Sub(root.Start).Nanoseconds(); got != want {
+			t.Fatalf("child %d starts %dns after its parent on the wall clock, %dns on the monotonic clock", k, got, want)
+		}
+		if c.Start.Sub(root.Start) != start.Sub(root.Start) {
+			t.Fatalf("child %d lost its monotonic reading", k)
+		}
+		c.End()
+	}
+	root.End()
+	if err := root.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestContinueSpanSharesTrace(t *testing.T) {
 	entry := NewSpan("a", "request")
 	fwd := entry.StartChild("forward")

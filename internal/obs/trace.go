@@ -183,6 +183,10 @@ func (r *Recorder) Observe(_ int, residual float64) {
 // the last iteration callback (e.g. the residual check that ends a GMRES
 // restart cycle) is folded into the final sample so the per-iteration
 // deltas sum exactly to the engine's stats window for the solve.
+//
+// The returned trace is a copy that does not reference the recorder: a
+// trace kept in a TraceRing must not keep the sampler, and with it the
+// engine the sampler reads, reachable after the solve.
 func (r *Recorder) Finish(converged bool, residual float64) *SolveTrace {
 	if r.sampler != nil && len(r.trace.Iterations) > 0 {
 		cur := r.sampler()
@@ -205,7 +209,8 @@ func (r *Recorder) Finish(converged bool, residual float64) *SolveTrace {
 		}
 		r.span.SetAttr("iterations", strconv.Itoa(len(r.trace.Iterations)+r.trace.Truncated))
 	}
-	return &r.trace
+	t := r.trace
+	return &t
 }
 
 // TraceRing is a fixed-capacity ring of recent solve traces, the backing

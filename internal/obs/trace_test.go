@@ -3,8 +3,10 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fakeCounters simulates an engine's cumulative hardware counters: each
@@ -47,6 +49,35 @@ func TestRecorderDeltasSumToWindow(t *testing.T) {
 		t.Errorf("per-iteration deltas wrong: first %+v last %+v (tail fold expected in last)",
 			tr.Iterations[0].HW, tr.Iterations[iters-1].HW)
 	}
+}
+
+// TestFinishReleasesSampler pins that a finished trace does not keep the
+// recorder's sampler reachable. In serving the sampler reads the leased
+// engine's counters, and the /debug/traces ring holds traces long after
+// the engine cache evicted their engines.
+func TestFinishReleasesSampler(t *testing.T) {
+	collected := make(chan struct{})
+	tr := func() *SolveTrace {
+		fc := &fakeCounters{}
+		runtime.SetFinalizer(fc, func(*fakeCounters) { close(collected) })
+		rec := NewRecorder(fc.sample)
+		fc.step()
+		rec.Observe(1, 0.5)
+		return rec.Finish(true, 0.5)
+	}()
+	for attempt := 0; attempt < 20; attempt++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if len(tr.Iterations) != 1 || tr.Iterations[0].HW.Slices != 3 {
+				t.Fatalf("finished trace lost its samples: %+v", tr)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(tr)
+	t.Fatal("the sampler's target stays reachable while the finished trace is held")
 }
 
 func TestRecorderNilSampler(t *testing.T) {
