@@ -168,7 +168,7 @@ func (c *Cluster) mulVecFix(x []float64) ([]float64, error) {
 // accumulated in c.redWords: AN check (and rare table correction),
 // de-bias against the prepared ar.biased term, and signed accumulation
 // into row i's running sum. Shared verbatim by the generic kernel's
-// inner loop and the packed kernels' multi-word and correction paths.
+// inner loop and the packed kernel's multi-word and correction paths.
 func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 	ar := &c.arena
 	// AN decode: P = A·Σ U·x must be divisible by A. Copy the

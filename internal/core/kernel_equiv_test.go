@@ -127,7 +127,9 @@ func assertKernelsAgree(t *testing.T, gen, kc *Cluster, x []float64, what string
 // (N = 63, 64, 65, 128, 129, 256, M up to 256), with and without error
 // injection, plus the two serving shapes of the end-to-end benchmark: a
 // 128×128 banded SPD operator at exponent spread 3 and a 256×256 one at
-// spread 2, generated exactly as that benchmark generates them.
+// spread 2, from that benchmark's generator settings, each programmed
+// as one block. The widest exponent spread takes both reductions onto
+// the multi-word decode tier.
 func TestKernelEquivalenceRealSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(995))
 	type shape struct {
@@ -136,9 +138,9 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 		spread int
 	}
 	var shapes []shape
-	for k, n := range []int{63, 64, 65, 128, 129, 256} {
-		m := []int{17, 256, 64, 128, 33, 256}[k]
-		spread := []int{3, 20, 2, 40, 8, 3}[k]
+	for k, n := range []int{63, 64, 65, 128, 129, 256, 65} {
+		m := []int{17, 256, 64, 128, 33, 256, 40}[k]
+		spread := []int{3, 20, 2, 40, 8, 3, MaxPadBits}[k]
 		blk, err := NewBlockDense(randBlockVals(rng, m, n, spread, 0.6), MaxPadBits)
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +167,7 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 		shapes = append(shapes, shape{fmt.Sprintf("banded%d/spread%d", op.rows, op.spread), blk, op.spread})
 	}
 	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
+	tiers := map[string]bool{}
 	for si, sh := range shapes {
 		for _, inject := range []bool{false, true} {
 			cfg := DefaultClusterConfig()
@@ -176,13 +179,20 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 			if inject {
 				want = "lanes/"
 			}
-			if got := kc.KernelName(); !strings.HasPrefix(got, want) {
+			got := kc.KernelName()
+			if !strings.HasPrefix(got, want) {
 				t.Fatalf("%s inject=%v: kernel %q, want %s*", sh.name, inject, got, want)
 			}
+			tiers[got] = true
 			for call := 0; call < 3; call++ {
 				x := randVec(rng, sh.blk.N, sh.spread, 0.9)
 				assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("%s inject=%v call %d", sh.name, inject, call))
 			}
+		}
+	}
+	for _, k := range []string{"codeword/128", "codeword/multi", "lanes/128", "lanes/multi"} {
+		if !tiers[k] {
+			t.Errorf("no shape ran %s (ran %v)", k, tiers)
 		}
 	}
 }
