@@ -359,8 +359,8 @@ func BenchmarkEngineSolveMonitor(b *testing.B) {
 	b.Run("recorder", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkNewEngineParallel measures concurrent block programming (the
-// O(M·N·planes) big.Int encode loop dominates engine setup).
+// BenchmarkNewEngineParallel measures concurrent block encoding and
+// programming (NewEngine).
 func BenchmarkNewEngineParallel(b *testing.B) {
 	spec := matgen.Spec{
 		Name: "bench_prog", Rows: 768, NNZ: 768 * 12, SPD: true, Class: matgen.Banded,

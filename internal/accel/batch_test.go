@@ -76,44 +76,6 @@ func TestApplyBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// PinWorkers is a scheduling knob only: pinned and unpinned ApplyBatch
-// must produce bit-identical outputs and statistics, and forks must
-// inherit the flag.
-func TestApplyBatchPinWorkersBitIdentical(t *testing.T) {
-	_, plan := smallSystem(t, 192)
-	eng, err := NewEngine(plan, core.DefaultClusterConfig(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Parallelism = 4
-	rng := rand.New(rand.NewSource(11))
-	xs, got := batchInputs(rng, 9, eng.Cols())
-
-	want := make([][]float64, len(xs))
-	for k := range xs {
-		want[k] = make([]float64, eng.Rows())
-	}
-	eng.ApplyBatch(want, xs)
-	wantStats := eng.TakeStats()
-
-	eng.PinWorkers = true
-	eng.ApplyBatch(got, xs)
-	for k := range xs {
-		for i := range got[k] {
-			if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-				t.Fatalf("pinned batch rhs %d row %d: %g != %g", k, i, got[k][i], want[k][i])
-			}
-		}
-	}
-	pinStats := eng.TakeStats()
-	if !reflect.DeepEqual(pinStats, wantStats) {
-		t.Fatalf("pinned batch stats diverge:\n%+v\n%+v", pinStats, wantStats)
-	}
-	if f := eng.Fork(); !f.PinWorkers {
-		t.Fatal("Fork dropped PinWorkers")
-	}
-}
-
 // Fork arenas must be disjoint at the engine level too: running one
 // fork hard must not move an outstanding result obtained from another.
 func TestEngineForkScratchDisjoint(t *testing.T) {

@@ -36,14 +36,6 @@ type Engine struct {
 	// (<= 0 also selects the default).
 	Parallelism int
 
-	// PinWorkers pins ApplyBatch's worker goroutines to OS threads
-	// (parallel.ForPinned): each worker owns one serial engine fork whose
-	// cluster arenas are its working set, and pinning keeps that working
-	// set from migrating between cores mid-batch. Results are unaffected
-	// — ApplyBatch is bit-identical with pinning on or off — so this is a
-	// pure scheduling knob; forks inherit it.
-	PinWorkers bool
-
 	// outs and applyErrs are the per-cluster fan-out scratch for
 	// applyParallel, hoisted out of the per-call path (Apply runs once
 	// per solver iteration; the solver loop should not allocate here).
@@ -83,11 +75,10 @@ type engineBlock struct {
 
 // NewEngine programs a preprocessing plan into functional clusters.
 // seedBase offsets the per-cluster device-error seeds so Monte-Carlo
-// trials differ only in their sampled errors. Blocks are programmed
-// concurrently — the O(M·N·planes) big.Int encode loop in
-// core.NewCluster dominates setup — and each cluster's seed depends only
-// on its index, so the programmed state is independent of worker
-// scheduling.
+// trials differ only in their sampled errors. Blocks are encoded and
+// programmed concurrently — one pass over each block's present cells in
+// core.NewCluster — and each cluster's seed depends only on its index,
+// so the programmed state is independent of worker scheduling.
 func NewEngine(plan *blocking.Plan, cfg core.ClusterConfig, seedBase int64) (*Engine, error) {
 	e := &Engine{plan: plan, cfg: cfg, seedBase: seedBase, Parallelism: parallel.DefaultWorkers()}
 	clusters := make([]*engineBlock, len(plan.Blocks))
@@ -230,7 +221,7 @@ func (e *Engine) applyParallel(y, x []float64) {
 // itself), which is how the serving layer's engine cache runs parallel
 // requests against one programmed matrix.
 func (e *Engine) Fork() *Engine {
-	n := &Engine{plan: e.plan, cfg: e.cfg, seedBase: e.seedBase, Parallelism: e.Parallelism, PinWorkers: e.PinWorkers}
+	n := &Engine{plan: e.plan, cfg: e.cfg, seedBase: e.seedBase, Parallelism: e.Parallelism}
 	// The fork inherits the refresh policy (policies are immutable after
 	// SetRefreshPolicy) and the scenario clock, so serving-layer forks
 	// self-heal their private clusters the same way the origin would.

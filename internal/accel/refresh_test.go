@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"memsci/internal/core"
@@ -318,5 +319,47 @@ func TestSetRefreshPolicyDefaults(t *testing.T) {
 	eng.SetRefreshPolicy(nil)
 	if eng.refresh != nil {
 		t.Fatal("nil did not disarm the policy")
+	}
+}
+
+// An error-free engine re-programmed cluster by cluster through the
+// refresh path must keep its kernels and its outputs: a rebuilt
+// codeword cluster is the same cluster.
+func TestRefreshRebuildKeepsCodewordKernel(t *testing.T) {
+	_, plan := smallSystem(t, 192)
+	eng, err := NewEngine(plan, core.DefaultClusterConfig(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := DefaultRefreshPolicy()
+	eng.SetRefreshPolicy(&policy)
+	rng := rand.New(rand.NewSource(12))
+	x := make([]float64, eng.Cols())
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	want := make([]float64, eng.Rows())
+	eng.Apply(want, x)
+	names := eng.KernelNames()
+	for _, n := range names {
+		if !strings.HasPrefix(n, "codeword/") {
+			t.Fatalf("error-free engine runs kernel %q", n)
+		}
+	}
+	for i := range eng.clusters {
+		eng.refreshCluster(i)
+	}
+	if got := eng.RefreshStats().Refreshes; got != uint64(len(eng.clusters)) {
+		t.Fatalf("%d refreshes, want %d", got, len(eng.clusters))
+	}
+	if got := eng.KernelNames(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("kernels after refresh %v, before %v", got, names)
+	}
+	got := make([]float64, eng.Rows())
+	eng.Apply(got, x)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d after refresh: %g, before %g", i, got[i], want[i])
+		}
 	}
 }

@@ -110,10 +110,17 @@ type Report struct {
 
 // Compare runs the two-sample comparison for every benchmark name in
 // either suite. It refuses to compare suites recorded at different
-// presets: their workload sizes differ by construction.
+// presets, whose workload sizes differ by construction, or at different
+// GOMAXPROCS, whose parallel workloads run different code: with more
+// than one proc the engine fans clusters out to worker goroutines, which
+// changes both time and allocations per op.
 func Compare(base, head *Suite, cfg CompareConfig) (*Report, error) {
 	if base.Preset != head.Preset {
 		return nil, fmt.Errorf("bench: preset mismatch: old %q vs new %q", base.Preset, head.Preset)
+	}
+	if base.GOMAXPROCS != head.GOMAXPROCS {
+		return nil, fmt.Errorf("bench: GOMAXPROCS mismatch: old suite recorded at %d, new at %d; rerun with GOMAXPROCS=%d",
+			base.GOMAXPROCS, head.GOMAXPROCS, base.GOMAXPROCS)
 	}
 	rep := &Report{OldPreset: base.Preset, NewPreset: head.Preset, Config: cfg}
 	names := unionNames(base, head)

@@ -175,6 +175,26 @@ func TestComparePresetMismatchRejected(t *testing.T) {
 	}
 }
 
+// Suites recorded at different GOMAXPROCS run different code on their
+// parallel workloads, so Compare must refuse them with a message that
+// names both values.
+func TestCompareGOMAXPROCSMismatchRejected(t *testing.T) {
+	base := mkSuite("short", map[string][]float64{"a": jitter(1, 3)})
+	head := mkSuite("short", map[string][]float64{"a": jitter(1, 3)})
+	base.GOMAXPROCS, head.GOMAXPROCS = 1, 2
+	_, err := Compare(base, head, CompareConfig{})
+	if err == nil {
+		t.Fatal("GOMAXPROCS mismatch accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "GOMAXPROCS") || !strings.Contains(msg, "1") || !strings.Contains(msg, "2") {
+		t.Fatalf("mismatch message %q does not name GOMAXPROCS and both values", msg)
+	}
+	head.GOMAXPROCS = 1
+	if _, err := Compare(base, head, CompareConfig{}); err != nil {
+		t.Fatalf("equal GOMAXPROCS rejected: %v", err)
+	}
+}
+
 // withMem attaches allocation columns to every result in a suite.
 func withMem(s *Suite, allocs map[string]float64) *Suite {
 	for i := range s.Results {

@@ -86,8 +86,9 @@ func enginePlan(p Preset) (*blocking.Plan, error) {
 	return blocking.Preprocess(m, sub)
 }
 
-// setupEngineProgram times NewEngine: the O(M·N·planes) big.Int encode
-// loop that dominates cold-start and cache-miss cost.
+// setupEngineProgram times NewEngine: block encoding plus the
+// programming pass over each block's present cells, the engine-cache
+// miss cost.
 func setupEngineProgram(p Preset) (*Instance, error) {
 	plan, err := enginePlan(p)
 	if err != nil {

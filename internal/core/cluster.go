@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"memsci/internal/ancode"
@@ -195,6 +196,9 @@ type Cluster struct {
 	cfg   ClusterConfig
 	block *Block
 
+	// planes are the bit-slice crossbars, built only for the generic
+	// loop, the reference path and error injection (nil for an
+	// error-free cluster under the packed kernel).
 	planes    []*xbar.Plane
 	planeBits int // bits per plane = Device.BitsPerCell
 	nPlanes   int
@@ -202,6 +206,12 @@ type Cluster struct {
 	arr       *device.Array
 	corr      *ancode.Corrector
 	bias      *big.Int
+
+	// storedOnes[i·nPlanes + t] is the stored (post-CIC, post-fault)
+	// level sum of output row i in plane t, what ADC headstart bounds
+	// each conversion by. The programming pass computes it from the
+	// codewords, so it exists with or without planes.
+	storedOnes []int32
 
 	// noiseSeed seeds this instance's stochastic error stream. The
 	// origin cluster uses cfg.Seed; each fork derives an independent
@@ -268,6 +278,9 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.VectorQuant.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Kernel != KernelAuto && cfg.Kernel != KernelGeneric {
+		return nil, fmt.Errorf("core: unknown kernel %q (want %q or auto)", cfg.Kernel, KernelGeneric)
+	}
 	c := &Cluster{cfg: cfg, block: block, bias: block.Code.Bias()}
 	c.planeBits = cfg.Device.BitsPerCell
 
@@ -276,41 +289,29 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	if c.nPlanes < 1 {
 		c.nPlanes = 1
 	}
+	// Corrector candidate positions span the coded operand plus the bits
+	// accumulated by summing up to N operands.
+	c.sumBits = codedBits + bitsLen(block.N)
+	c.decWords = c.decodeWords()
 
 	if cfg.InjectErrors {
 		c.noiseSeed = cfg.Seed
 		c.arr = device.NewArray(cfg.Device, c.noiseSeed)
 	}
 
-	// Program the planes: every cell (including absent elements) holds
-	// its slice of V = A·(F + bias), the biased AN-coded operand.
-	c.planes = make([]*xbar.Plane, c.nPlanes)
-	for t := range c.planes {
-		c.planes[t] = xbar.NewPlane(block.M, block.N, c.planeBits)
-	}
-	// Two scratch operands hoisted out of the M·N cell loop: v holds
-	// F+bias, u the AN-coded product. Multiplying into a distinct
-	// receiver lets big.Int reuse u's storage instead of allocating a
-	// product (and a big.NewInt(A)) per cell — this loop dominated
-	// engine-programming allocations.
-	v, u := new(big.Int), new(big.Int)
-	for i := 0; i < block.M; i++ {
-		for j := 0; j < block.N; j++ {
-			v.Add(block.F[i*block.N+j], c.bias)
-			u.Mul(v, bigAN)
-			for t := 0; t < c.nPlanes; t++ {
-				var level uint8
-				for b := 0; b < c.planeBits; b++ {
-					if u.Bit(t*c.planeBits+b) == 1 {
-						level |= 1 << b
-					}
-				}
-				c.planes[t].Set(i, j, level)
-			}
-		}
-	}
+	// An error-free cluster under the packed kernel reads only the
+	// codeword mirror; bit planes exist for the generic loop, the
+	// reference path and the device-error model.
+	packed := cfg.Kernel == KernelAuto && !cfg.ReferenceMVM
+	c.program(packed && !cfg.InjectErrors)
 	cic := cfg.CIC && c.planeBits == 1
 	if cic {
+		half := int32(block.N / 2)
+		for k, s := range c.storedOnes {
+			if s > half {
+				c.storedOnes[k] = int32(block.N) - s
+			}
+		}
 		for _, p := range c.planes {
 			p.ApplyCIC()
 		}
@@ -322,9 +323,6 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 		Resolution: xbar.RequiredResolution(block.N, c.planeBits, cic),
 		Headstart:  cfg.Headstart,
 	}
-	// Corrector candidate positions span the coded operand plus the bits
-	// accumulated by summing up to N operands.
-	c.sumBits = codedBits + bitsLen(block.N)
 	c.corr = ancode.NewCorrector(c.sumBits, cfg.MaxCorrectCount)
 	// Max decoded per-unit-popcount: 2^UnsignedBits − 1.
 	c.uMax = new(big.Int).Lsh(big.NewInt(1), uint(block.Code.UnsignedBits()))
@@ -336,10 +334,128 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	// Reduction accumulator: coded bits plus the summation growth.
 	c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	c.initArena()
-	if err := c.selectKernel(); err != nil {
-		return nil, err
+	if packed {
+		c.buildPacked()
 	}
 	return c, nil
+}
+
+// program stores the block in the cluster: every cell, absent elements
+// included, holds its slice of the biased AN codeword U = A·(F + bias)
+// (§III-B). All absent cells hold the same codeword U0 = A·bias, so one
+// pass over the present cells does the work. The per-(row, plane)
+// stored-level sums start at N·level_t(U0) and each present cell
+// adjusts them by its difference from U0. With codewords set, the same
+// pass builds the packed kernel's codeword mirror and no bit plane;
+// otherwise every plane is filled with U0's level a word at a time and
+// only the present cells that differ from it are set one by one.
+func (c *Cluster) program(codewords bool) {
+	b := c.block
+	B, nP := c.planeBits, c.nPlanes
+	u0Lo, u0Hi, _ := absentCodewords(1, uint(b.Code.Width))
+	l0 := make([]uint8, nP)
+	for t := range l0 {
+		l0[t] = levelAt(u0Lo, u0Hi, t*B, B)
+	}
+	c.storedOnes = make([]int32, b.M*nP)
+	for i := 0; i < b.M; i++ {
+		for t, l := range l0 {
+			c.storedOnes[i*nP+t] = int32(b.N) * int32(l)
+		}
+	}
+	var pk *packedPlanes
+	if codewords {
+		pk = &packedPlanes{
+			cwPtr: make([]int, 1, b.N+1),
+			cwRow: make([]int32, 0, b.NNZ()),
+			cwLo:  make([]uint64, 0, b.NNZ()),
+		}
+		if c.decWords != 1 {
+			pk.cwHi = make([]uint64, 0, b.NNZ())
+		}
+	} else {
+		c.planes = make([]*xbar.Plane, nP)
+		for t := range c.planes {
+			c.planes[t] = xbar.NewPlane(b.M, b.N, B)
+			c.planes[t].Fill(l0[t])
+		}
+	}
+	for k := 0; k < b.N; k++ {
+		for i := 0; i < b.M; i++ {
+			f := b.F[i*b.N+k]
+			if f.Sign() == 0 {
+				continue
+			}
+			// U = U0 + A·F: exact in two words, since U < 2^126.
+			dLo, dHi := anProduct(f)
+			uLo, cy := bits.Add64(u0Lo, dLo, 0)
+			uHi := u0Hi + dHi + cy
+			stored := c.storedOnes[i*nP : (i+1)*nP]
+			for t := range stored {
+				lv := levelAt(uLo, uHi, t*B, B)
+				if lv == l0[t] {
+					continue
+				}
+				stored[t] += int32(lv) - int32(l0[t])
+				if !codewords {
+					c.planes[t].Set(i, k, lv)
+				}
+			}
+			if codewords {
+				pk.cwRow = append(pk.cwRow, int32(i))
+				pk.cwLo = append(pk.cwLo, dLo)
+				if pk.cwHi != nil {
+					pk.cwHi = append(pk.cwHi, dHi)
+				}
+			}
+		}
+		if codewords {
+			pk.cwPtr = append(pk.cwPtr, len(pk.cwRow))
+		}
+	}
+	c.packed = pk
+}
+
+// anProduct returns A·F, the codeword delta U − U0 of a present cell,
+// as a two-word two's-complement value: A·|F| < 2^126, negated for
+// negative F.
+func anProduct(f *big.Int) (lo, hi uint64) {
+	var mLo, mHi uint64
+	for w, v := range f.Bits() {
+		if s := uint(w * wordBits); s < 64 {
+			mLo |= uint64(v) << s
+		} else {
+			mHi |= uint64(v) << (s - 64)
+		}
+	}
+	h, lo := bits.Mul64(mLo, ancode.A)
+	hi = mHi*ancode.A + h
+	if f.Sign() < 0 {
+		var brw uint64
+		lo, brw = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, brw)
+	}
+	return lo, hi
+}
+
+// absentCodewords returns n·U0 = n·A·2^width, the sum of n absent-cell
+// codewords, as three little-endian words. Go defines a shift by 64 or
+// more bits as zero, so the words are exact for every width below 128.
+func absentCodewords(n uint64, width uint) (lo, hi, top uint64) {
+	m := n * ancode.A
+	return m << width, m<<(width-64) | m>>(64-width), m >> (128 - width)
+}
+
+// levelAt returns the B-bit cell level at bit position pos < 128 of the
+// two-word value (hi, lo).
+func levelAt(lo, hi uint64, pos, B int) uint8 {
+	var w uint64
+	if pos < 64 {
+		w = lo>>uint(pos) | hi<<uint(64-pos)
+	} else {
+		w = hi >> uint(pos-64)
+	}
+	return uint8(w & (1<<uint(B) - 1))
 }
 
 // addShifted adds v·2^shift into a little-endian word accumulator. The
@@ -386,37 +502,40 @@ func addShifted(words []big.Word, shift uint, v uint64) {
 }
 
 // Fork returns a cluster sharing c's programmed state — the encoded
-// bit-slice planes (with CIC inversion, stuck-at masks and D2D gains),
-// the AN corrector table, the bias and the block — with private scratch
-// and statistics, so the fork costs none of the O(M·N·planes) encode
-// work of NewCluster. The shared state is immutable after NewCluster,
-// and Fork reads none of the mutable fields, so a fork may be taken
-// from, and run MulVec concurrently with, a cluster that is
-// mid-computation. With error injection disabled (the validated design
-// point) a fork is bit-identical to a freshly programmed cluster; with
-// injection enabled it samples an independent error stream derived from
-// the parent's seed and the fork sequence number — concurrent forks
-// never replay one another's draws (previously every fork restarted the
-// configured seed, so supposedly independent Monte-Carlo forks saw
-// perfectly correlated errors). The fork inherits the parent's
-// retention age: it models another read port on the same aging silicon.
+// bit-slice planes (with CIC inversion, stuck-at masks and D2D gains)
+// or codeword mirror, the stored-level sums, the AN corrector table, the
+// bias and the block — with private scratch and statistics, so the fork
+// costs none of the programming work of NewCluster. The shared state is
+// immutable after NewCluster, and Fork reads none of the mutable fields,
+// so a fork may be taken from, and run MulVec concurrently with, a
+// cluster that is mid-computation. With error injection disabled (the
+// validated design point) a fork is bit-identical to a freshly
+// programmed cluster; with injection enabled it samples an independent
+// error stream derived from the parent's seed and the fork sequence
+// number — concurrent forks never replay one another's draws
+// (previously every fork restarted the configured seed, so supposedly
+// independent Monte-Carlo forks saw perfectly correlated errors). The
+// fork inherits the parent's retention age and stuck-cell count: it
+// models another read port on the same aging silicon.
 func (c *Cluster) Fork() *Cluster {
 	n := &Cluster{
-		cfg:       c.cfg,
-		block:     c.block,
-		planes:    c.planes,
-		planeBits: c.planeBits,
-		nPlanes:   c.nPlanes,
-		adc:       c.adc,
-		corr:      c.corr,
-		bias:      c.bias,
-		uMax:      c.uMax,
-		rowBits:   c.rowBits,
-		sumBits:   c.sumBits,
-		redWords:  make([]big.Word, len(c.redWords)),
-		age:       c.age,
-		decWords:  c.decWords,
-		packed:    c.packed,
+		cfg:        c.cfg,
+		block:      c.block,
+		planes:     c.planes,
+		planeBits:  c.planeBits,
+		storedOnes: c.storedOnes,
+		nPlanes:    c.nPlanes,
+		adc:        c.adc,
+		corr:       c.corr,
+		bias:       c.bias,
+		uMax:       c.uMax,
+		rowBits:    c.rowBits,
+		sumBits:    c.sumBits,
+		redWords:   make([]big.Word, len(c.redWords)),
+		age:        c.age,
+		stuckCells: c.stuckCells,
+		decWords:   c.decWords,
+		packed:     c.packed,
 	}
 	n.initArena()
 	if c.cfg.InjectErrors {

@@ -47,6 +47,8 @@ func (c *Cluster) applyStaticFaults() {
 						c.stuckCells++
 					}
 				}
+				// The stored-level sums follow the faulted array.
+				c.storedOnes[i*c.nPlanes+t] = int32(plane.StoredOnes(i))
 			}
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // significant first; output rows inner; settle checks after every
 // slice) with each (row, slice) reduction Σ_t count_t·2^(t·planeBits)
 // produced from one of two mirrors built once at NewCluster and shared
-// by forks, like the planes themselves:
+// by forks:
 //
 //   - codewords, for clusters without error injection. A crossbar's
 //     output for one applied slice is then exact, so after CIC decoding
@@ -23,7 +23,8 @@ import (
 //     present cells' deltas U_ik − U0 = A·F_ik, and sumCodewords forms
 //     popX·U0 + Σ (U_ik − U0) for all M rows at once, visiting each
 //     present cell of the slice's set inputs once — instead of
-//     recounting the sum from nPlanes bit planes per row.
+//     recounting the sum from nPlanes bit planes per row. Such a
+//     cluster builds no bit planes at all (see program).
 //   - lanes, under injection: every plane's count must pass through the
 //     device-error model in the reference draw order, so each row's
 //     per-plane counts are popcounted from an interleaved bit-plane
@@ -47,43 +48,31 @@ const (
 	KernelGeneric = "generic"
 )
 
-// selectKernel resolves ClusterConfig.Kernel into the packed or the
-// generic kernel and the decode-width specialization for this cluster's
-// static shape, and builds the packed mirror. Called at the end of
-// NewCluster; forks inherit the selection.
-func (c *Cluster) selectKernel() error {
-	// Decode-width specialization: the per-(row, slice) reduction is
-	// Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the
-	// device model clamps noisy readouts to the same physical rail — so
-	// the exact bound is N·(2^B − 1)·(2^(nPlanes·B) − 1)/(2^B − 1).
-	// With multi-bit cells this can exceed 2^sumBits, so the gate uses
-	// the geometric bound, not sumBits. The narrow paths build words
-	// with 64-bit two-word arithmetic and therefore also require 64-bit
-	// big.Words.
-	c.decWords = 0
-	if wordBits == 64 {
-		lmax := int64(1)<<c.planeBits - 1
-		maxRed := new(big.Int).Lsh(big.NewInt(1), uint(c.nPlanes*c.planeBits))
-		maxRed.Sub(maxRed, big.NewInt(1))
-		maxRed.Div(maxRed, big.NewInt(lmax)) // exact: B divides nPlanes·B
-		maxRed.Mul(maxRed, big.NewInt(int64(c.block.N)*lmax))
-		switch {
-		case maxRed.BitLen() <= 64:
-			c.decWords = 1
-		case maxRed.BitLen() <= 128:
-			c.decWords = 2
-		}
+// decodeWords selects the decode-width specialization for this
+// cluster's static shape: 1 = single 64-bit word, 2 = 128-bit pair,
+// 0 = generic multi-word. The per-(row, slice) reduction is
+// Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the device
+// model clamps noisy readouts to the same physical rail — so the exact
+// bound is N·(2^B − 1)·(2^(nPlanes·B) − 1)/(2^B − 1). With multi-bit
+// cells this can exceed 2^sumBits, so the gate uses the geometric
+// bound, not sumBits. The narrow paths build words with 64-bit two-word
+// arithmetic and therefore also require 64-bit big.Words.
+func (c *Cluster) decodeWords() int {
+	if wordBits != 64 {
+		return 0
 	}
-	switch c.cfg.Kernel {
-	case KernelGeneric:
-	case KernelAuto:
-		if !c.cfg.ReferenceMVM {
-			c.buildPacked()
-		}
-	default:
-		return fmt.Errorf("core: unknown kernel %q (want %q or auto)", c.cfg.Kernel, KernelGeneric)
+	lmax := int64(1)<<c.planeBits - 1
+	maxRed := new(big.Int).Lsh(big.NewInt(1), uint(c.nPlanes*c.planeBits))
+	maxRed.Sub(maxRed, big.NewInt(1))
+	maxRed.Div(maxRed, big.NewInt(lmax)) // exact: B divides nPlanes·B
+	maxRed.Mul(maxRed, big.NewInt(int64(c.block.N)*lmax))
+	switch {
+	case maxRed.BitLen() <= 64:
+		return 1
+	case maxRed.BitLen() <= 128:
+		return 2
 	}
-	return nil
+	return 0
 }
 
 // KernelName reports the MVM kernel variant selected for this cluster
@@ -115,10 +104,11 @@ func (c *Cluster) KernelName() string {
 // clusters through NewCluster. Forks share it the way they share
 // planes.
 type packedPlanes struct {
-	nW    int // words per input bitmap, (N+63)/64
-	lanes int // nPlanes·planeBits level-bit lanes
+	nW    int // lane mirror: words per input bitmap, (N+63)/64
+	lanes int // lane mirror: nPlanes·planeBits level-bit lanes
 
-	// The codeword mirror of a cluster without error injection, in
+	// The codeword mirror of a cluster without error injection, built by
+	// the programming pass (program) in place of any bit plane, in
 	// compressed sparse columns: input k's present cells are the rows
 	// cwRow[p], p in [cwPtr[k], cwPtr[k+1]), with codeword deltas
 	// U_ik − U0 = A·F_ik ≡ cwLo[p] + 2^64·cwHi[p] (mod 2^128). cwHi is
@@ -156,90 +146,18 @@ type packedPlanes struct {
 	maxCap  int
 }
 
-// buildPacked constructs the packed mirror from the block and the
-// final (post-CIC, post-fault) planes: codeword deltas without error
-// injection, the lane mirror with it, and the headstart table.
+// buildPacked completes the packed mirror once the cluster is
+// programmed: under error injection the lane mirror is copied from the
+// final (post-CIC, post-fault) planes — without it, program has already
+// built the codeword mirror — and with ADC headstart the SAR-bit table
+// is tabulated from the stored-level sums.
 func (c *Cluster) buildPacked() {
 	b := c.block
 	B, nP := c.planeBits, c.nPlanes
-	pk := &packedPlanes{
-		nW:    (b.N + 63) / 64,
-		lanes: nP * B,
+	if c.arr != nil {
+		c.packed = c.laneMirror()
 	}
-	if c.arr == nil {
-		nnz := 0
-		for _, f := range b.F {
-			if f.Sign() != 0 {
-				nnz++
-			}
-		}
-		pk.cwPtr = make([]int, 1, b.N+1)
-		pk.cwRow = make([]int32, 0, nnz)
-		pk.cwLo = make([]uint64, 0, nnz)
-		if c.decWords != 1 {
-			pk.cwHi = make([]uint64, 0, nnz)
-		}
-		for k := 0; k < b.N; k++ {
-			for i := 0; i < b.M; i++ {
-				f := b.F[i*b.N+k]
-				if f.Sign() == 0 {
-					continue
-				}
-				// A·|F| < 2^126 as a two-word product, negated in two's
-				// complement for negative F.
-				var mLo, mHi uint64
-				for w, v := range f.Bits() {
-					if s := uint(w * wordBits); s < 64 {
-						mLo |= uint64(v) << s
-					} else {
-						mHi |= uint64(v) << (s - 64)
-					}
-				}
-				h, lo := bits.Mul64(mLo, ancode.A)
-				hi := mHi*ancode.A + h
-				if f.Sign() < 0 {
-					var brw uint64
-					lo, brw = bits.Sub64(0, lo, 0)
-					hi, _ = bits.Sub64(0, hi, brw)
-				}
-				pk.cwRow = append(pk.cwRow, int32(i))
-				pk.cwLo = append(pk.cwLo, lo)
-				if pk.cwHi != nil {
-					pk.cwHi = append(pk.cwHi, hi)
-				}
-			}
-			pk.cwPtr = append(pk.cwPtr, len(pk.cwRow))
-		}
-	} else {
-		pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
-		pk.inverted = make([]bool, b.M*nP)
-		for i := 0; i < b.M; i++ {
-			for t := 0; t < nP; t++ {
-				pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
-				for lb := 0; lb < B; lb++ {
-					cw := c.planes[t].ColumnWords(lb, i)
-					lane := t*B + lb
-					for w := 0; w < pk.nW; w++ {
-						pk.words[(i*pk.nW+w)*pk.lanes+lane] = cw[w]
-					}
-				}
-			}
-		}
-	}
-	if c.arr != nil && B > 1 {
-		pk.orWords = make([]uint64, b.M*pk.nW*nP)
-		for i := 0; i < b.M; i++ {
-			for t := 0; t < nP; t++ {
-				for w := 0; w < pk.nW; w++ {
-					var or uint64
-					for lb := 0; lb < B; lb++ {
-						or |= c.planes[t].ColumnWords(lb, i)[w]
-					}
-					pk.orWords[(i*pk.nW+w)*nP+t] = or
-				}
-			}
-		}
-	}
+	pk := c.packed
 	if c.adc.Headstart {
 		lmax := 1<<B - 1
 		pk.maxCap = bits.Len(uint(b.N * lmax))
@@ -247,8 +165,8 @@ func (c *Cluster) buildPacked() {
 		res := c.adc.Resolution
 		for i := 0; i < b.M; i++ {
 			row := pk.bitsTab[i*(pk.maxCap+1) : (i+1)*(pk.maxCap+1)]
-			for t := 0; t < nP; t++ {
-				lw := bits.Len(uint(c.planes[t].StoredOnes(i)))
+			for _, s := range c.storedOnes[i*nP : (i+1)*nP] {
+				lw := bits.Len(uint(s))
 				for cl := 0; cl <= pk.maxCap; cl++ {
 					need := lw
 					if cl < need {
@@ -265,7 +183,47 @@ func (c *Cluster) buildPacked() {
 			}
 		}
 	}
-	c.packed = pk
+}
+
+// laneMirror interleaves the planes' level-bit words into the lane
+// mirror of an injected cluster, with the per-plane active-cell OR words
+// for multi-bit cells and the CIC flags.
+func (c *Cluster) laneMirror() *packedPlanes {
+	b := c.block
+	B, nP := c.planeBits, c.nPlanes
+	pk := &packedPlanes{
+		nW:    (b.N + 63) / 64,
+		lanes: nP * B,
+	}
+	pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
+	pk.inverted = make([]bool, b.M*nP)
+	for i := 0; i < b.M; i++ {
+		for t := 0; t < nP; t++ {
+			pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
+			for lb := 0; lb < B; lb++ {
+				cw := c.planes[t].ColumnWords(lb, i)
+				lane := t*B + lb
+				for w := 0; w < pk.nW; w++ {
+					pk.words[(i*pk.nW+w)*pk.lanes+lane] = cw[w]
+				}
+			}
+		}
+	}
+	if B > 1 {
+		pk.orWords = make([]uint64, b.M*pk.nW*nP)
+		for i := 0; i < b.M; i++ {
+			for t := 0; t < nP; t++ {
+				for w := 0; w < pk.nW; w++ {
+					var or uint64
+					for lb := 0; lb < B; lb++ {
+						or |= c.planes[t].ColumnWords(lb, i)[w]
+					}
+					pk.orWords[(i*pk.nW+w)*nP+t] = or
+				}
+			}
+		}
+	}
+	return pk
 }
 
 // sumCodewords sets the arena's reduction words sumLo, sumHi and sumTop
@@ -280,10 +238,7 @@ func (c *Cluster) buildPacked() {
 func (c *Cluster) sumCodewords(popX int, xw []uint64) {
 	pk, ar := c.packed, &c.arena
 	lo, hi, top := ar.sumLo, ar.sumHi, ar.sumTop
-	// Go defines a shift by 64 or more bits as zero, so these three
-	// words hold m·2^s for every Width below 128.
-	m, s := uint64(popX)*ancode.A, uint(c.block.Code.Width)
-	lo0, hi0, top0 := m<<s, m<<(s-64)|m>>(64-s), m>>(128-s)
+	lo0, hi0, top0 := absentCodewords(uint64(popX), uint(c.block.Code.Width))
 	for i := range lo {
 		lo[i], hi[i], top[i] = lo0, hi0, top0
 	}

@@ -109,6 +109,12 @@ type Array struct {
 	p   Params
 	src rand.Source
 	rng *rand.Rand
+	// Per-conversion constants of PerturbCountVar, computed once from p
+	// with the same float expressions: unitLeak = (levels−1)/DynamicRange
+	// leakage units per off cell, progUnit = ProgError·(levels−1) unit
+	// steps of programming noise per on cell, and levelMax = levels−1.
+	unitLeak, progUnit float64
+	levelMax           int
 	// drift is the current retention-decay factor on the active column
 	// current: 1 for a freshly programmed array, below 1 as SetTime
 	// advances (Faults.DriftFactor).
@@ -123,7 +129,16 @@ type Array struct {
 // NewArray creates an error sampler with a deterministic seed.
 func NewArray(p Params, seed int64) *Array {
 	src := rand.NewSource(seed)
-	return &Array{p: p, src: src, rng: rand.New(src), drift: 1}
+	leak := 1.0 / p.DynamicRange
+	return &Array{
+		p: p, src: src, rng: rand.New(src), drift: 1,
+		// A level-L cell conducts L unit steps; with B bits per cell a
+		// unit is 1/(levels-1) of the on/off window, so the relative
+		// leakage per off cell is (levels-1)·leak units.
+		unitLeak: leak * float64(p.Levels()-1),
+		progUnit: p.ProgError * float64(p.Levels()-1),
+		levelMax: p.Levels() - 1,
+	}
 }
 
 // Params returns the device parameters of the array.
@@ -185,14 +200,8 @@ func (a *Array) PerturbCount(onSum, onCells, offCells int) int {
 // with every fault knob at its zero value reducing, draw for draw and
 // operation for operation, to the original two-source model.
 func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int {
-	p := a.p
-	leak := 1.0 / p.DynamicRange
-	// A level-L cell conducts L unit steps; with B bits per cell a unit
-	// is 1/(levels-1) of the on/off window, so the relative leakage per
-	// off cell is (levels-1)·leak units.
-	unitLeak := leak * float64(p.Levels()-1)
-
-	nominal := unitLeak * float64(offCells)
+	p := &a.p
+	nominal := a.unitLeak * float64(offCells)
 	// The nominal leakage offset is a known digital function of the
 	// applied slice's popcount and the column's stored weight, so the
 	// conversion pipeline calibrates it out; what remains is the
@@ -213,7 +222,7 @@ func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int 
 	}
 	analog := on + shift
 	if p.ProgError > 0 && onCells > 0 {
-		sigma := p.ProgError * float64(p.Levels()-1) * math.Sqrt(float64(onCells))
+		sigma := a.progUnit * math.Sqrt(float64(onCells))
 		analog += a.rng.NormFloat64() * sigma
 	}
 	q := int(math.RoundToEven(analog))
@@ -222,7 +231,7 @@ func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int 
 		q = 0
 		clamped = true
 	}
-	max := (onCells + offCells) * (a.p.Levels() - 1)
+	max := (onCells + offCells) * a.levelMax
 	if q > max {
 		q = max
 		clamped = true

@@ -2,6 +2,7 @@ package device
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -233,4 +234,64 @@ func FuzzFaultParams(f *testing.F) {
 			t.Fatalf("accepted params give out-of-range count %d", got)
 		}
 	})
+}
+
+// unhoistedPerturb is PerturbCountVar as it read before the per-array
+// constants moved into NewArray: every conversion recomputes the
+// leakage unit, the programming-noise unit and the level count from the
+// parameters, in the same expression order.
+func unhoistedPerturb(p Params, rng *rand.Rand, drift float64, onSum, onCells, offCells int, gain float64) int {
+	leak := 1.0 / p.DynamicRange
+	unitLeak := leak * float64(p.Levels()-1)
+	nominal := unitLeak * float64(offCells)
+	shift := 0.0
+	if p.LeakFluctuation > 0 && nominal > 0 {
+		shift = nominal * p.LeakFluctuation * rng.NormFloat64()
+	}
+	on := float64(onSum)
+	if gain != 1 {
+		on *= gain
+	}
+	if drift != 1 {
+		on *= drift
+	}
+	if p.Faults.C2CSigma > 0 && onSum != 0 {
+		on *= 1 + p.Faults.C2CSigma*rng.NormFloat64()
+	}
+	analog := on + shift
+	if p.ProgError > 0 && onCells > 0 {
+		sigma := p.ProgError * float64(p.Levels()-1) * math.Sqrt(float64(onCells))
+		analog += rng.NormFloat64() * sigma
+	}
+	q := int(math.RoundToEven(analog))
+	return min(max(q, 0), (onCells+offCells)*(p.Levels()-1))
+}
+
+// TestPerturbCountVarMatchesUnhoisted pins the hoisted constants to the
+// per-call arithmetic they replaced, draw for draw, across cell widths,
+// dynamic ranges, noise levels, C2C noise, drift and D2D gains.
+func TestPerturbCountVarMatchesUnhoisted(t *testing.T) {
+	for bpc := 1; bpc <= 4; bpc++ {
+		for _, dr := range []float64{7, 750, 1500, 3000} {
+			p := TaOx()
+			p.BitsPerCell = bpc
+			p.DynamicRange = dr
+			p.ProgError = 0.01 * float64(bpc)
+			p.Faults = Faults{C2CSigma: 0.02, DriftNu: 0.1, DriftTau: 1e4}
+			seed := int64(bpc)*1000 + int64(dr)
+			a := NewArray(p, seed)
+			a.SetTime(3e4)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 512; i++ {
+				onc, offc := i%23, 40+i%300
+				on := onc * (1 + i%(1<<bpc-1))
+				gain := 1 + 0.05*float64(i%7-3)
+				got := a.PerturbCountVar(on, onc, offc, gain)
+				want := unhoistedPerturb(p, rng, a.DriftFactor(), on, onc, offc, gain)
+				if got != want {
+					t.Fatalf("bpc=%d range=%g draw %d: %d, unhoisted %d", bpc, dr, i, got, want)
+				}
+			}
+		}
+	}
 }

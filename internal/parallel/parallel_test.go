@@ -53,34 +53,6 @@ func TestForPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestForPinnedCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		n := 1000
-		hits := make([]int32, n)
-		ForPinned(n, workers, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestForPinnedPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r != "boom" {
-			t.Fatalf("expected re-raised panic, got %v", r)
-		}
-	}()
-	ForPinned(64, 4, func(i int) {
-		if i == 17 {
-			panic("boom")
-		}
-	})
-}
-
 func TestClamp(t *testing.T) {
 	cases := []struct{ n, jobs, wantMax int }{
 		{0, 10, 10},  // default, bounded by jobs

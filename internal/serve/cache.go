@@ -1,15 +1,15 @@
 // Package serve is the solver-as-a-service layer: an HTTP/JSON front
 // end (Server) over the accelerator, built around a content-hashed cache
 // of programmed engines (Cache). Programming a matrix into clusters —
-// the O(M·N·planes) big.Int encode loop in core.NewCluster — dominates
-// the cost of a solve, so the cache amortizes it ReFloat-style across
-// the many MVMs of one Krylov solve and across repeated solves on the
-// same operator: matrices are keyed by a SHA-256 of their canonical CSR
+// blocking, block encoding and core.NewCluster — is paid once per
+// operator, so the cache amortizes it ReFloat-style across the many
+// MVMs of one Krylov solve and across repeated solves on the same
+// operator: matrices are keyed by a SHA-256 of their canonical CSR
 // form plus the cluster configuration, programmed engines live in a
 // size-bounded LRU weighted by the clusters they occupy, concurrent
 // requests for the same uncached matrix are deduplicated so programming
 // happens once, and each cache entry is a small lease pool of forked
-// engines (shared programmed planes, private scratch) so independent
+// engines (shared programmed state, private scratch) so independent
 // requests on the same matrix run in parallel.
 package serve
 

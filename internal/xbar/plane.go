@@ -97,6 +97,33 @@ func (p *Plane) Set(i, j int, level uint8) {
 	p.weight[i] += int(level) - old
 }
 
+// Fill programs every cell of the plane to the given level a word at a
+// time: each level bit's column bitmaps become all ones or all zeros.
+// It is the bulk form of Set for the cells that share one value (the
+// absent elements of a block); like Set, it happens before CIC.
+func (p *Plane) Fill(level uint8) {
+	if int(level) >= 1<<p.bitsPerCell {
+		panic(fmt.Sprintf("xbar: level %d exceeds %d-bit cell", level, p.bitsPerCell))
+	}
+	for b, cols := range p.bits {
+		var fill uint64
+		if level&(1<<b) != 0 {
+			fill = ^uint64(0)
+		}
+		for _, c := range cols {
+			for w := range c.words {
+				c.words[w] = fill
+			}
+			if n := len(c.words); n > 0 {
+				c.words[n-1] &= c.tailMask()
+			}
+		}
+	}
+	for i := range p.weight {
+		p.weight[i] = p.inputs * int(level)
+	}
+}
+
 // Get reads back the stored level at (i, j), undoing CIC inversion.
 func (p *Plane) Get(i, j int) uint8 {
 	var level uint8

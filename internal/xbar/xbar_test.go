@@ -298,3 +298,46 @@ func TestBitmapCopyFrom(t *testing.T) {
 		t.Error("CopyFrom aliased source storage")
 	}
 }
+
+// TestPlaneFillMatchesSet holds the word fill to a Set on every cell:
+// same levels, stored-level sums and raw words (padding bits clear),
+// at every cell width and across the 64-bit word boundary, including a
+// fill over a plane that already holds other levels.
+func TestPlaneFillMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, bpc := range []int{1, 2, 3, 4} {
+		for _, inputs := range []int{1, 63, 64, 65, 130} {
+			for level := 0; level < 1<<bpc; level++ {
+				got, want := NewPlane(3, inputs, bpc), NewPlane(3, inputs, bpc)
+				for i := 0; i < 3; i++ {
+					for j := 0; j < inputs; j++ {
+						got.Set(i, j, uint8(rng.Intn(1<<bpc)))
+						want.Set(i, j, uint8(level))
+					}
+				}
+				got.Fill(uint8(level))
+				for i := 0; i < 3; i++ {
+					if got.StoredOnes(i) != want.StoredOnes(i) {
+						t.Fatalf("bpc=%d inputs=%d level=%d: column %d sum %d, want %d",
+							bpc, inputs, level, i, got.StoredOnes(i), want.StoredOnes(i))
+					}
+					for b := 0; b < bpc; b++ {
+						g, w := got.ColumnWords(b, i), want.ColumnWords(b, i)
+						for k := range w {
+							if g[k] != w[k] {
+								t.Fatalf("bpc=%d inputs=%d level=%d: column %d bit %d word %d = %x, want %x",
+									bpc, inputs, level, i, b, k, g[k], w[k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Fill with an out-of-range level did not panic")
+		}
+	}()
+	NewPlane(1, 8, 1).Fill(2)
+}
