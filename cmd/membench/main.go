@@ -37,7 +37,7 @@ func runSuite(args []string) int {
 	runPat := fs.String("run", "", "only run benchmarks matching this regexp")
 	jsonOut := fs.String("json", "", "write the suite as JSON to this path")
 	benchmem := fs.Bool("benchmem", true, "record allocs/op and bytes/op columns")
-	kernel := fs.String("kernel", "", "force the cluster MVM kernel: generic (the scalar per-plane loop); empty = automatic (the packed kernel, codeword sums without error injection)")
+	kernel := fs.String("kernel", "", "force the cluster MVM kernel: generic (the scalar per-plane loop); empty = automatic (the exact kernel without error injection, the lane kernel with it)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the suite run to this path")
 	list := fs.Bool("list", false, "list benchmark names and exit")
 	quiet := fs.Bool("q", false, "suppress per-benchmark progress output")

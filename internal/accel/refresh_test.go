@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"memsci/internal/core"
@@ -324,8 +323,8 @@ func TestSetRefreshPolicyDefaults(t *testing.T) {
 
 // An error-free engine re-programmed cluster by cluster through the
 // refresh path must keep its kernels and its outputs: a rebuilt
-// codeword cluster is the same cluster.
-func TestRefreshRebuildKeepsCodewordKernel(t *testing.T) {
+// exact-kernel cluster is the same cluster.
+func TestRefreshRebuildKeepsExactKernel(t *testing.T) {
 	_, plan := smallSystem(t, 192)
 	eng, err := NewEngine(plan, core.DefaultClusterConfig(), 5)
 	if err != nil {
@@ -342,7 +341,7 @@ func TestRefreshRebuildKeepsCodewordKernel(t *testing.T) {
 	eng.Apply(want, x)
 	names := eng.KernelNames()
 	for _, n := range names {
-		if !strings.HasPrefix(n, "codeword/") {
+		if n != "exact" {
 			t.Fatalf("error-free engine runs kernel %q", n)
 		}
 	}

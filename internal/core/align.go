@@ -132,10 +132,23 @@ func (c BlockCode) Encode(v float64) *big.Int {
 // the vector-slicing arena depends on (no allocation once z has
 // capacity).
 func (c BlockCode) encodeInto(z *big.Int, v float64) {
+	m, sh, neg := c.split(v)
+	z.SetUint64(m)
+	z.Lsh(z, uint(sh))
+	if neg {
+		z.Neg(z)
+	}
+}
+
+// split returns v's aligned integer under the code as a sign and a
+// significand with a left shift: F = ±m·2^sh, with m < 2^53 and m = 0
+// (and neg false) for zero and for values a clamped code flushes.
+// Encode, the block encoding and the exact kernel's vector encoding all
+// go through it.
+func (c BlockCode) split(v float64) (m uint64, sh int, neg bool) {
 	d := Decompose(v)
 	if d.Zero {
-		z.SetInt64(0)
-		return
+		return 0, 0, false
 	}
 	if c.Empty {
 		panic("core: encoding nonzero value under empty block code")
@@ -145,12 +158,7 @@ func (c BlockCode) encodeInto(z *big.Int, v float64) {
 		if shift < 0 || shift > c.Width-MantissaBits {
 			panic(fmt.Sprintf("core: value exponent %d outside block code [%d,%d]", d.Exp, c.MinExp, c.MaxExp))
 		}
-		z.SetUint64(d.Mant)
-		z.Lsh(z, uint(shift))
-		if d.Neg {
-			z.Neg(z)
-		}
-		return
+		return d.Mant, shift, d.Neg
 	}
 	// Quantized path: keep mantBits of significand (truncated toward
 	// zero, so the leading bit survives and F stays below 2^Width), then
@@ -161,15 +169,13 @@ func (c BlockCode) encodeInto(z *big.Int, v float64) {
 		panic(fmt.Sprintf("core: value exponent %d outside block code [%d,%d]", d.Exp, c.MinExp, c.MaxExp))
 	}
 	net := shift - (MantissaBits - c.mantBits())
-	z.SetUint64(d.Mant)
 	if net >= 0 {
-		z.Lsh(z, uint(net))
-	} else {
-		z.Rsh(z, uint(-net))
+		return d.Mant, net, d.Neg
 	}
-	if d.Neg {
-		z.Neg(z)
+	if m = d.Mant >> uint(-net); m == 0 {
+		return 0, 0, false
 	}
+	return m, 0, d.Neg
 }
 
 // Decode converts a fixed-point integer back to float64 under the given

@@ -181,3 +181,86 @@ func TestStoredBitsMatchesPaperExamples(t *testing.T) {
 		t.Errorf("narrow stored bits %d", b.StoredBits())
 	}
 }
+
+// TestBlockPresentCells checks the row-wise present-cell storage against
+// the coefficients it was built from: every nonzero lands in its row
+// once, with its column, value and aligned integer (the big.Int Encode
+// of the value), zeros are dropped but still count for duplicate
+// detection, At reads absent cells as zero, and the row bounds are the
+// sums of the row's positive and negative integers. Quantized codes,
+// including a clamped window that flushes small values to a zero F,
+// and shuffled input order are covered.
+func TestBlockPresentCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial, q := range []Quant{{}, {Mant: 8}, {Mant: 8, Window: 6}, {}, {Mant: 20}} {
+		m, n := 1+rng.Intn(9), 1+rng.Intn(70)
+		vals := randBlockVals(rng, m, n, []int{3, 40, MaxPadBits, 20, 12}[trial], 0.5)
+		var coefs []Coef
+		for i := range vals {
+			for j, v := range vals[i] {
+				if v != 0 || rng.Intn(8) == 0 { // some explicit zeros
+					coefs = append(coefs, Coef{Row: i, Col: j, Val: v})
+				}
+			}
+		}
+		rng.Shuffle(len(coefs), func(a, b int) { coefs[a], coefs[b] = coefs[b], coefs[a] })
+		b, err := NewBlockQuant(m, n, coefs, MaxPadBits, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nnz := 0
+		f := new(big.Int)
+		for i := 0; i < m; i++ {
+			pos, neg := new(big.Int), new(big.Int)
+			seen := map[int]bool{}
+			for p := b.RowPtr[i]; p < b.RowPtr[i+1]; p++ {
+				j := int(b.Cols[p])
+				if seen[j] || b.Vals[p] != vals[i][j] || b.Vals[p] == 0 {
+					t.Fatalf("trial %d row %d: cell %d col %d val %g (dense %g, seen %v)", trial, i, p, j, b.Vals[p], vals[i][j], seen[j])
+				}
+				seen[j] = true
+				if want := b.Code.Encode(b.Vals[p]); b.F[p].Big(f).Cmp(want) != 0 {
+					t.Fatalf("trial %d row %d col %d: F %s, Encode %s", trial, i, j, f, want)
+				}
+				if f.Sign() > 0 {
+					pos.Add(pos, f)
+				} else {
+					neg.Add(neg, f)
+				}
+			}
+			for j := 0; j < n; j++ {
+				if vals[i][j] != 0 {
+					nnz++
+				}
+				if b.At(i, j) != vals[i][j] {
+					t.Fatalf("trial %d: At(%d,%d) = %g, want %g", trial, i, j, b.At(i, j), vals[i][j])
+				}
+			}
+			if b.RowPos[i].Cmp(pos) != 0 || b.RowNeg[i].Cmp(neg) != 0 {
+				t.Fatalf("trial %d row %d: bounds %s/%s, want %s/%s", trial, i, b.RowPos[i], b.RowNeg[i], pos, neg)
+			}
+		}
+		if b.NNZ() != nnz || b.RowPtr[m] != nnz {
+			t.Fatalf("trial %d: NNZ %d, RowPtr end %d, want %d", trial, b.NNZ(), b.RowPtr[m], nnz)
+		}
+	}
+	for _, dup := range [][]Coef{{{1, 1, 0}, {0, 1, 3}, {1, 1, 2}}, {{1, 1, 2}, {0, 1, 3}, {1, 1, 0}}} {
+		if _, err := NewBlock(2, 2, dup, MaxPadBits); err == nil {
+			t.Errorf("duplicate with an explicit zero accepted: %v", dup)
+		}
+	}
+	// A row whose positive integers sum past 2^128: 4,096 coefficients
+	// just under 2^117 after the full 64-bit alignment spread.
+	wide := []Coef{{0, 0, -1}}
+	for j := 1; j < 4096; j++ {
+		wide = append(wide, Coef{Row: 0, Col: j, Val: math.Ldexp(1.875, 64)})
+	}
+	b, err := NewBlock(1, 4096, wide, MaxPadBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := new(big.Int).Mul(b.Code.Encode(wide[1].Val), big.NewInt(4095))
+	if b.RowPos[0].BitLen() <= 128 || b.RowPos[0].Cmp(want) != 0 || b.RowNeg[0].Cmp(b.Code.Encode(-1)) != 0 {
+		t.Errorf("wide row bounds %s/%s, want %s/%s", b.RowPos[0], b.RowNeg[0], want, b.Code.Encode(-1))
+	}
+}

@@ -56,10 +56,11 @@ type ClusterConfig struct {
 	// value is the exact scheme.
 	VectorQuant Quant
 	// Kernel forces the MVM kernel variant: KernelAuto (the empty
-	// string, the packed kernel of kernel.go) or KernelGeneric. Both are
+	// string: the exact kernel of exact.go without error injection, the
+	// lane kernel of kernel.go with it) or KernelGeneric. Both are
 	// bit-identical in outputs and statistics; the knob exists for the
 	// CI benchmark gate and the kernel equivalence tests, which compare
-	// the packed kernel against the generic loop.
+	// the automatic kernels against the generic loop.
 	Kernel string
 }
 
@@ -197,8 +198,8 @@ type Cluster struct {
 	block *Block
 
 	// planes are the bit-slice crossbars, built only for the generic
-	// loop, the reference path and error injection (nil for an
-	// error-free cluster under the packed kernel).
+	// loop, the reference path and error injection (nil for a cluster
+	// on the exact kernel).
 	planes    []*xbar.Plane
 	planeBits int // bits per plane = Device.BitsPerCell
 	nPlanes   int
@@ -212,6 +213,15 @@ type Cluster struct {
 	// each conversion by. The programming pass computes it from the
 	// codewords, so it exists with or without planes.
 	storedOnes []int32
+	// convBits, present for the automatic kernels when ADC headstart is
+	// on, tabulates the SAR bit decisions of one (row, slice) pair as a
+	// function of the applied popcount bound's bit length:
+	// convBits[i·(maxCap+1) + Len(popX·lmax)] = Σ_t clamp(min(Len(w_t),
+	// Len(popX·lmax)), 1, Resolution) over the stored-level sums w_t.
+	// This is exact because Len is monotone, so Len(min(w, cap)) =
+	// min(Len(w), Len(cap)).
+	convBits []uint32
+	maxCap   int
 
 	// noiseSeed seeds this instance's stochastic error stream. The
 	// origin cluster uses cfg.Seed; each fork derives an independent
@@ -239,16 +249,17 @@ type Cluster struct {
 	// summation growth); it sizes both redWords and the arena.
 	sumBits int
 
-	// decWords is the decode-width specialization selected at
-	// NewCluster (kernel.go): 1 = single 64-bit word, 2 = 128-bit pair,
-	// 0 = generic multi-word. packed is the packed kernel's codeword or
-	// lane mirror (nil selects the generic kernel), immutable after
-	// NewCluster and shared by forks like the planes.
+	// exact selects the exact kernel (exact.go). Otherwise decWords is
+	// the lane kernel's decode-width specialization (kernel.go): 1 =
+	// single 64-bit word, 2 = 128-bit pair, 0 = generic multi-word, and
+	// packed its lane mirror (nil selects the generic kernel), immutable
+	// after NewCluster and shared by forks like the planes.
+	exact    bool
 	decWords int
 	packed   *packedPlanes
 
-	// arena is the private per-cluster scratch for the fixed-width MVM
-	// path: running sums, vector slices, temporaries. Allocated once at
+	// arena is the private per-cluster scratch for the MVM kernels:
+	// vector encoding, running sums, temporaries. Allocated once at
 	// NewCluster, reused by every MulVec, never shared — Fork builds a
 	// fresh one.
 	arena mvArena
@@ -292,18 +303,20 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	// Corrector candidate positions span the coded operand plus the bits
 	// accumulated by summing up to N operands.
 	c.sumBits = codedBits + bitsLen(block.N)
-	c.decWords = c.decodeWords()
 
 	if cfg.InjectErrors {
 		c.noiseSeed = cfg.Seed
 		c.arr = device.NewArray(cfg.Device, c.noiseSeed)
 	}
 
-	// An error-free cluster under the packed kernel reads only the
-	// codeword mirror; bit planes exist for the generic loop, the
-	// reference path and the device-error model.
-	packed := cfg.Kernel == KernelAuto && !cfg.ReferenceMVM
-	c.program(packed && !cfg.InjectErrors)
+	// An error-free cluster under the automatic kernel computes each
+	// row's dot product exactly (exact.go, built on 64-bit words) and
+	// holds no bit plane, reduction scratch or AN corrector; those exist
+	// for the generic loop, the reference path and the device-error
+	// model.
+	auto := cfg.Kernel == KernelAuto && !cfg.ReferenceMVM
+	c.exact = auto && !cfg.InjectErrors && wordBits == 64
+	c.program(!c.exact)
 	cic := cfg.CIC && c.planeBits == 1
 	if cic {
 		half := int32(block.N / 2)
@@ -323,20 +336,26 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 		Resolution: xbar.RequiredResolution(block.N, c.planeBits, cic),
 		Headstart:  cfg.Headstart,
 	}
-	c.corr = ancode.NewCorrector(c.sumBits, cfg.MaxCorrectCount)
-	// Max decoded per-unit-popcount: 2^UnsignedBits − 1.
-	c.uMax = new(big.Int).Lsh(big.NewInt(1), uint(block.Code.UnsignedBits()))
-	c.uMax.Sub(c.uMax, big.NewInt(1))
 	c.rowBits = make([]int, block.M)
 	for i := range c.rowBits {
 		c.rowBits[i] = max(block.RowPos[i].BitLen(), block.RowNeg[i].BitLen())
 	}
-	// Reduction accumulator: coded bits plus the summation growth.
-	c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
-	c.initArena()
-	if packed {
-		c.buildPacked()
+	if !c.exact {
+		c.corr = ancode.NewCorrector(c.sumBits, cfg.MaxCorrectCount)
+		// Max decoded per-unit-popcount: 2^UnsignedBits − 1.
+		c.uMax = new(big.Int).Lsh(big.NewInt(1), uint(block.Code.UnsignedBits()))
+		c.uMax.Sub(c.uMax, big.NewInt(1))
+		// Reduction accumulator: coded bits plus the summation growth.
+		c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	}
+	if auto {
+		c.buildConvBits()
+	}
+	if auto && cfg.InjectErrors {
+		c.decWords = c.decodeWords()
+		c.packed = c.laneMirror()
+	}
+	c.initArena()
 	return c, nil
 }
 
@@ -345,92 +364,61 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 // (§III-B). All absent cells hold the same codeword U0 = A·bias, so one
 // pass over the present cells does the work. The per-(row, plane)
 // stored-level sums start at N·level_t(U0) and each present cell
-// adjusts them by its difference from U0. With codewords set, the same
-// pass builds the packed kernel's codeword mirror and no bit plane;
-// otherwise every plane is filled with U0's level a word at a time and
-// only the present cells that differ from it are set one by one.
-func (c *Cluster) program(codewords bool) {
+// adjusts them by its difference from U0. With planes set, every plane
+// is first filled with U0's level a word at a time and only the present
+// cells that differ from it are then set one by one; without, the sums
+// are all the cluster keeps.
+func (c *Cluster) program(planes bool) {
 	b := c.block
 	B, nP := c.planeBits, c.nPlanes
-	u0Lo, u0Hi, _ := absentCodewords(1, uint(b.Code.Width))
+	u0Lo, u0Hi := absentCodeword(uint(b.Code.Width))
 	l0 := make([]uint8, nP)
 	for t := range l0 {
 		l0[t] = levelAt(u0Lo, u0Hi, t*B, B)
 	}
-	c.storedOnes = make([]int32, b.M*nP)
-	for i := 0; i < b.M; i++ {
-		for t, l := range l0 {
-			c.storedOnes[i*nP+t] = int32(b.N) * int32(l)
-		}
-	}
-	var pk *packedPlanes
-	if codewords {
-		pk = &packedPlanes{
-			cwPtr: make([]int, 1, b.N+1),
-			cwRow: make([]int32, 0, b.NNZ()),
-			cwLo:  make([]uint64, 0, b.NNZ()),
-		}
-		if c.decWords != 1 {
-			pk.cwHi = make([]uint64, 0, b.NNZ())
-		}
-	} else {
+	if planes {
 		c.planes = make([]*xbar.Plane, nP)
 		for t := range c.planes {
 			c.planes[t] = xbar.NewPlane(b.M, b.N, B)
 			c.planes[t].Fill(l0[t])
 		}
 	}
-	for k := 0; k < b.N; k++ {
-		for i := 0; i < b.M; i++ {
-			f := b.F[i*b.N+k]
-			if f.Sign() == 0 {
+	c.storedOnes = make([]int32, b.M*nP)
+	for i := 0; i < b.M; i++ {
+		stored := c.storedOnes[i*nP : (i+1)*nP]
+		for t, l := range l0 {
+			stored[t] = int32(b.N) * int32(l)
+		}
+		for p := b.RowPtr[i]; p < b.RowPtr[i+1]; p++ {
+			f := b.F[p]
+			if f.IsZero() {
 				continue
 			}
 			// U = U0 + A·F: exact in two words, since U < 2^126.
 			dLo, dHi := anProduct(f)
 			uLo, cy := bits.Add64(u0Lo, dLo, 0)
 			uHi := u0Hi + dHi + cy
-			stored := c.storedOnes[i*nP : (i+1)*nP]
 			for t := range stored {
 				lv := levelAt(uLo, uHi, t*B, B)
 				if lv == l0[t] {
 					continue
 				}
 				stored[t] += int32(lv) - int32(l0[t])
-				if !codewords {
-					c.planes[t].Set(i, k, lv)
+				if planes {
+					c.planes[t].Set(i, int(b.Cols[p]), lv)
 				}
 			}
-			if codewords {
-				pk.cwRow = append(pk.cwRow, int32(i))
-				pk.cwLo = append(pk.cwLo, dLo)
-				if pk.cwHi != nil {
-					pk.cwHi = append(pk.cwHi, dHi)
-				}
-			}
-		}
-		if codewords {
-			pk.cwPtr = append(pk.cwPtr, len(pk.cwRow))
 		}
 	}
-	c.packed = pk
 }
 
 // anProduct returns A·F, the codeword delta U − U0 of a present cell,
 // as a two-word two's-complement value: A·|F| < 2^126, negated for
 // negative F.
-func anProduct(f *big.Int) (lo, hi uint64) {
-	var mLo, mHi uint64
-	for w, v := range f.Bits() {
-		if s := uint(w * wordBits); s < 64 {
-			mLo |= uint64(v) << s
-		} else {
-			mHi |= uint64(v) << (s - 64)
-		}
-	}
-	h, lo := bits.Mul64(mLo, ancode.A)
-	hi = mHi*ancode.A + h
-	if f.Sign() < 0 {
+func anProduct(f Int128) (lo, hi uint64) {
+	h, lo := bits.Mul64(f.Lo, ancode.A)
+	hi = f.Hi*ancode.A + h
+	if f.Neg {
 		var brw uint64
 		lo, brw = bits.Sub64(0, lo, 0)
 		hi, _ = bits.Sub64(0, hi, brw)
@@ -438,12 +426,12 @@ func anProduct(f *big.Int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// absentCodewords returns n·U0 = n·A·2^width, the sum of n absent-cell
-// codewords, as three little-endian words. Go defines a shift by 64 or
-// more bits as zero, so the words are exact for every width below 128.
-func absentCodewords(n uint64, width uint) (lo, hi, top uint64) {
-	m := n * ancode.A
-	return m << width, m<<(width-64) | m>>(64-width), m >> (128 - width)
+// absentCodeword returns U0 = A·2^width, the codeword every absent cell
+// holds, as two little-endian words. Go defines a shift by 64 or more
+// bits as zero, so the words are exact for every width below 120.
+func absentCodeword(width uint) (lo, hi uint64) {
+	m := uint64(ancode.A)
+	return m << width, m<<(width-64) | m>>(64-width)
 }
 
 // levelAt returns the B-bit cell level at bit position pos < 128 of the
@@ -503,7 +491,7 @@ func addShifted(words []big.Word, shift uint, v uint64) {
 
 // Fork returns a cluster sharing c's programmed state — the encoded
 // bit-slice planes (with CIC inversion, stuck-at masks and D2D gains)
-// or codeword mirror, the stored-level sums, the AN corrector table, the
+// or lane mirror, the stored-level sums, the AN corrector table, the
 // bias and the block — with private scratch and statistics, so the fork
 // costs none of the programming work of NewCluster. The shared state is
 // immutable after NewCluster, and Fork reads none of the mutable fields,
@@ -534,8 +522,11 @@ func (c *Cluster) Fork() *Cluster {
 		redWords:   make([]big.Word, len(c.redWords)),
 		age:        c.age,
 		stuckCells: c.stuckCells,
+		exact:      c.exact,
 		decWords:   c.decWords,
 		packed:     c.packed,
+		convBits:   c.convBits,
+		maxCap:     c.maxCap,
 	}
 	n.initArena()
 	if c.cfg.InjectErrors {
@@ -622,8 +613,10 @@ func (c *Cluster) MulVec(x []float64) ([]float64, error) {
 	switch {
 	case c.cfg.ReferenceMVM:
 		y, err = c.mulVecRef(x)
+	case c.exact:
+		y, err = c.mulVecExact(x)
 	case c.packed != nil:
-		y, err = c.mulVecPacked(x)
+		y, err = c.mulVecLanes(x)
 	default:
 		y, err = c.mulVecFix(x)
 	}

@@ -7,12 +7,21 @@ import (
 	"memsci/internal/ancode"
 )
 
-// mvArena is the per-cluster scratch for the fixed-width MVM hot path:
-// everything a MulVec call needs beyond the programmed planes, sized
-// once at NewCluster and reused by every call. A cluster owns exactly
-// one arena and never shares it; Fork allocates a fresh one, so forks
-// can run MulVec concurrently with the origin.
+// mvArena is the per-cluster scratch for the MVM kernels: everything a
+// MulVec call needs beyond the programmed state, sized once at
+// NewCluster and reused by every call. A cluster owns exactly one arena
+// and never shares it; Fork allocates a fresh one, so forks can run
+// MulVec concurrently with the origin. The slice walk's fields are
+// allocated only for the generic loop and the lane kernel, the exact
+// kernel's only for it.
 type mvArena struct {
+	y       []float64
+	colUsed []int
+	// lo and hi are the early-termination interval endpoints.
+	lo, hi Fix
+
+	// Slice walk (generic loop and lane kernel).
+	//
 	// vs holds the sliced input vector (bitmaps, popcounts, aligned
 	// integers), re-sliced in place each call.
 	vs VectorSlices
@@ -23,51 +32,51 @@ type mvArena struct {
 	runBack []big.Word
 	run     []Fix
 	settled []bool
-	y       []float64
-	colUsed []int
 	// Loop temporaries: quotient/decoded operand, per-row contribution,
-	// de-bias term, early-termination interval endpoints.
-	q, contrib, biased, lo, hi Fix
+	// de-bias term.
+	q, contrib, biased Fix
 	// Rare-path big.Int scratch (AN correction only): pBig views the
 	// raw accumulator via SetBits aliasing, minBig stays zero, maxBig
 	// and popBig build the corrector's range bound.
 	pBig, maxBig, minBig, popBig big.Int
 	corrScr                      ancode.Scratch
-	// Packed-kernel scratch (kernel.go): per-row codeword sums (low,
-	// high and carry words), fused per-lane AND-popcounts, and per-plane
-	// active-cell and decoded counts.
-	sumLo, sumHi, sumTop []uint64
-	cnts                 []int
-	orCnts               []int
-	pcnts                []int
+	// Lane-kernel scratch (kernel.go): fused per-lane AND-popcounts, and
+	// per-plane active-cell and decoded counts.
+	cnts   []int
+	orCnts []int
+	pcnts  []int
+
+	// Exact kernel (exact.go).
+	exact exactScratch
 }
 
 // initArena sizes the scratch from the cluster's static bounds: running
-// sums and interval endpoints are below 2^(sumBits + vector width), so
-// every Fix gets capacity for that plus carry headroom. (A Fix that
-// still outgrows its capacity reallocates transparently — sizing is a
-// performance bound, not a correctness one.)
+// sums, row dot products and interval endpoints are below
+// 2^(sumBits + vector width), so every Fix gets capacity for that plus
+// carry headroom. (A Fix that still outgrows its capacity reallocates
+// transparently — sizing is a performance bound, not a correctness one.)
 func (c *Cluster) initArena() {
 	m := c.block.M
 	maxVecWidth := MantissaBits + c.cfg.VectorMaxPad + 1
 	fixWords := (c.sumBits+maxVecWidth)/wordBits + 3
 	a := &c.arena
+	a.y = make([]float64, m)
+	a.colUsed = make([]int, m)
+	a.lo = newFixWords(fixWords)
+	a.hi = newFixWords(fixWords)
+	if c.exact {
+		a.exact.init(c.block.N, fixWords)
+		return
+	}
 	a.runBack = make([]big.Word, m*fixWords)
 	a.run = make([]Fix, m)
 	for i := range a.run {
 		a.run[i] = Fix{w: a.runBack[i*fixWords : i*fixWords : (i+1)*fixWords]}
 	}
 	a.settled = make([]bool, m)
-	a.y = make([]float64, m)
-	a.colUsed = make([]int, m)
 	a.q = newFixWords(fixWords)
 	a.contrib = newFixWords(fixWords)
 	a.biased = newFixWords(fixWords)
-	a.lo = newFixWords(fixWords)
-	a.hi = newFixWords(fixWords)
-	a.sumLo = make([]uint64, m)
-	a.sumHi = make([]uint64, m)
-	a.sumTop = make([]uint64, m)
 	a.cnts = make([]int, c.nPlanes*c.planeBits)
 	a.orCnts = make([]int, c.nPlanes)
 	a.pcnts = make([]int, c.nPlanes)
@@ -168,7 +177,7 @@ func (c *Cluster) mulVecFix(x []float64) ([]float64, error) {
 // accumulated in c.redWords: AN check (and rare table correction),
 // de-bias against the prepared ar.biased term, and signed accumulation
 // into row i's running sum. Shared verbatim by the generic kernel's
-// inner loop and the packed kernel's multi-word and correction paths.
+// inner loop and the lane kernel's multi-word and correction paths.
 func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 	ar := &c.arena
 	// AN decode: P = A·Σ U·x must be divisible by A. Copy the
@@ -204,25 +213,26 @@ func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 	}
 }
 
-// rowSettled runs the early-termination interval test for one row after
-// slice j: the endpoints run + (2^j − 1)·Row± are built as
-// (Row << j) − Row + run — the same integers IntervalSettled sums —
-// without a multiply or an allocation. settleImpossible first turns
-// away, without rounding, the rows whose interval is still too wide.
-func (c *Cluster) rowSettled(i, j, scale int) (float64, bool) {
+// rowSettled runs the early-termination interval test for row i with
+// running sum run after slice j: the endpoints run + (2^j − 1)·Row± are
+// built as (Row << j) − Row + run — the same integers IntervalSettled
+// sums — without a multiply or an allocation. settleImpossible first
+// turns away, without rounding, the rows whose interval is still too
+// wide.
+func (c *Cluster) rowSettled(run *Fix, i, j, scale int) (float64, bool) {
 	ar := &c.arena
-	if settleImpossible(ar.run[i].BitLen(), c.rowBits[i], j, scale) {
+	if settleImpossible(run.BitLen(), c.rowBits[i], j, scale) {
 		return 0, false
 	}
 	pos, neg := c.block.RowPos[i], c.block.RowNeg[i]
 	ar.lo.SetBig(neg)
 	ar.lo.Lsh(uint(j))
 	ar.lo.SubBig(neg)
-	ar.lo.Add(&ar.run[i])
+	ar.lo.Add(run)
 	ar.hi.SetBig(pos)
 	ar.hi.Lsh(uint(j))
 	ar.hi.SubBig(pos)
-	ar.hi.Add(&ar.run[i])
+	ar.hi.Add(run)
 	return ar.lo.RoundMonotone(&ar.hi, scale, c.cfg.Rounding)
 }
 
@@ -256,7 +266,7 @@ func (c *Cluster) checkSettleFix(unsettled *int, y []float64, j, scale, applied 
 		if ar.settled[i] {
 			continue
 		}
-		if v, ok := c.rowSettled(i, j, scale); ok {
+		if v, ok := c.rowSettled(&ar.run[i], i, j, scale); ok {
 			ar.settled[i] = true
 			y[i] = v
 			c.stats.ColumnSlicesUsed[i] = applied

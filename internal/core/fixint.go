@@ -340,6 +340,21 @@ func (z *Fix) setShifted128(hi, lo uint64, shift uint, neg bool) {
 	z.trim()
 }
 
+// setInt256 sets z to the four-word two's-complement value a.
+// Requires 64-bit big.Words, like setShifted128.
+func (z *Fix) setInt256(a int256) {
+	z.neg = int64(a[3]) < 0
+	if z.neg {
+		var cy uint64
+		a[0], cy = bits.Add64(^a[0], 1, 0)
+		a[1], cy = bits.Add64(^a[1], 0, cy)
+		a[2], cy = bits.Add64(^a[2], 0, cy)
+		a[3] = ^a[3] + cy
+	}
+	z.w = append(z.w[:0], big.Word(a[0]), big.Word(a[1]), big.Word(a[2]), big.Word(a[3]))
+	z.trim()
+}
+
 // low64 returns the low 64 bits of the magnitude.
 func (z *Fix) low64() uint64 {
 	var v uint64
@@ -435,8 +450,16 @@ func (z *Fix) Round(scale int, mode RoundingMode) float64 {
 			}
 		}
 	}
+	// m ≤ 2^53 converts exactly. When 2^u and the product are normal,
+	// multiplying by 2^u built from its exponent bits is exact; Ldexp
+	// covers subnormal and overflowing results.
 	mf := float64(m)
-	v := math.Ldexp(mf, u)
+	var v float64
+	if u >= -1022 && u <= 1023-54 {
+		v = mf * math.Float64frombits(uint64(u+1023)<<52)
+	} else {
+		v = math.Ldexp(mf, u)
+	}
 	if math.IsInf(v, 0) {
 		switch mode {
 		case TowardZero:

@@ -8,31 +8,18 @@ import (
 	"memsci/internal/ancode"
 )
 
-// This file implements the packed MVM kernel: the slice-major traversal
-// of the generic loop in cluster_fix.go (vector slices outer, most
-// significant first; output rows inner; settle checks after every
-// slice) with each (row, slice) reduction Σ_t count_t·2^(t·planeBits)
-// produced from one of two mirrors built once at NewCluster and shared
-// by forks:
-//
-//   - codewords, for clusters without error injection. A crossbar's
-//     output for one applied slice is then exact, so after CIC decoding
-//     row i's reduction is Σ U_ik over the inputs k the slice selects,
-//     where U = A·(F + bias) is the cell's codeword. Every absent cell
-//     holds the same codeword U0 = A·bias, so the mirror keeps only the
-//     present cells' deltas U_ik − U0 = A·F_ik, and sumCodewords forms
-//     popX·U0 + Σ (U_ik − U0) for all M rows at once, visiting each
-//     present cell of the slice's set inputs once — instead of
-//     recounting the sum from nPlanes bit planes per row. Such a
-//     cluster builds no bit planes at all (see program).
-//   - lanes, under injection: every plane's count must pass through the
-//     device-error model in the reference draw order, so each row's
-//     per-plane counts are popcounted from an interleaved bit-plane
-//     mirror (countLanes, planeCounts) and shift-added.
-//
-// Either reduction then runs through one- or two-word AN-divide and
-// de-bias arithmetic when the cluster's reduction bound allows, and the
-// generic multi-word decode otherwise.
+// This file implements the lane kernel, the MVM of clusters with error
+// injection: the slice-major traversal of the generic loop in
+// cluster_fix.go (vector slices outer, most significant first; output
+// rows inner; settle checks after every slice), with each (row, slice)
+// reduction Σ_t count_t·2^(t·planeBits) taken from a mirror built once
+// at NewCluster and shared by forks. Every plane's count must pass
+// through the device-error model in the reference draw order, so each
+// row's per-plane counts are popcounted from an interleaved bit-plane
+// mirror (countLanes, planeCounts) and shift-added. The reduction then
+// runs through one- or two-word AN-divide and de-bias arithmetic when
+// the cluster's reduction bound allows, and the generic multi-word
+// decode otherwise.
 //
 // The kernel is bit-identical to the generic loop (and hence to the
 // big.Int reference of cluster_ref.go) in outputs and statistics; the
@@ -42,14 +29,15 @@ import (
 
 // ClusterConfig.Kernel force-knob values.
 const (
-	// KernelAuto (the empty string) selects the packed kernel.
+	// KernelAuto (the empty string) selects the exact kernel without
+	// error injection and the lane kernel with it.
 	KernelAuto = ""
 	// KernelGeneric forces the scalar per-plane loop of cluster_fix.go.
 	KernelGeneric = "generic"
 )
 
-// decodeWords selects the decode-width specialization for this
-// cluster's static shape: 1 = single 64-bit word, 2 = 128-bit pair,
+// decodeWords selects the lane kernel's decode-width specialization for
+// this cluster's static shape: 1 = single 64-bit word, 2 = 128-bit pair,
 // 0 = generic multi-word. The per-(row, slice) reduction is
 // Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the device
 // model clamps noisy readouts to the same physical rail — so the exact
@@ -75,111 +63,74 @@ func (c *Cluster) decodeWords() int {
 	return 0
 }
 
-// KernelName reports the MVM kernel variant selected for this cluster
-// with its decode width (e.g. "codeword/128", "lanes/64", "generic",
-// "reference") — diagnostics for benchmarks and equivalence tests.
+// KernelName reports the MVM kernel variant selected for this cluster,
+// with the lane kernel's decode width ("exact", "lanes/64",
+// "lanes/128", "lanes/multi", "generic", "reference") — diagnostics for
+// benchmarks and equivalence tests.
 func (c *Cluster) KernelName() string {
 	switch {
 	case c.cfg.ReferenceMVM:
 		return "reference"
+	case c.exact:
+		return "exact"
 	case c.packed == nil:
 		return KernelGeneric
 	}
-	base := "lanes"
-	if c.packed.cwPtr != nil {
-		base = "codeword"
-	}
 	switch c.decWords {
 	case 1:
-		return base + "/64"
+		return "lanes/64"
 	case 2:
-		return base + "/128"
+		return "lanes/128"
 	}
-	return base + "/multi"
+	return "lanes/multi"
 }
 
-// packedPlanes is the packed kernel's mirror of a cluster's programmed
-// state. It is immutable after NewCluster: CIC inversion and static
-// faults are applied before it is built, and refresh re-programs whole
-// clusters through NewCluster. Forks share it the way they share
+// packedPlanes is the lane kernel's mirror of an injected cluster's
+// programmed state. It is immutable after NewCluster: CIC inversion and
+// static faults are applied before it is built, and refresh re-programs
+// whole clusters through NewCluster. Forks share it the way they share
 // planes.
 type packedPlanes struct {
-	nW    int // lane mirror: words per input bitmap, (N+63)/64
-	lanes int // lane mirror: nPlanes·planeBits level-bit lanes
+	nW    int // words per input bitmap, (N+63)/64
+	lanes int // nPlanes·planeBits level-bit lanes
 
-	// The codeword mirror of a cluster without error injection, built by
-	// the programming pass (program) in place of any bit plane, in
-	// compressed sparse columns: input k's present cells are the rows
-	// cwRow[p], p in [cwPtr[k], cwPtr[k+1]), with codeword deltas
-	// U_ik − U0 = A·F_ik ≡ cwLo[p] + 2^64·cwHi[p] (mod 2^128). cwHi is
-	// nil on the one-word decode tier, where sums run mod 2^64.
-	cwPtr      []int
-	cwRow      []int32
-	cwLo, cwHi []uint64
-
-	// words, built only under error injection, is the lane mirror: for
-	// output row i and input word w, the level-bit words of every plane
-	// sit consecutively, so countLanes ANDs one input word against all
-	// planes in one contiguous pass:
+	// words is the lane mirror: for output row i and input word w, the
+	// level-bit words of every plane sit consecutively, so countLanes
+	// ANDs one input word against all planes in one contiguous pass:
 	//
 	//	words[(i·nW + w)·lanes + t·planeBits + b] = bit b of plane t,
 	//	                                            output row i, input word w
 	words []uint64
 
-	// orWords, built only under error injection with multi-bit cells,
-	// holds the OR of each plane's level bits per (row, word, plane) —
-	// the active-cell mask behind the error model's onCells operand:
+	// orWords, built only with multi-bit cells, holds the OR of each
+	// plane's level bits per (row, word, plane) — the active-cell mask
+	// behind the error model's onCells operand:
 	// orWords[(i·nW + w)·nPlanes + t].
 	orWords []uint64
 
-	// inverted caches the per-(row, plane) CIC flags of the lane path:
+	// inverted caches the per-(row, plane) CIC flags:
 	// inverted[i·nPlanes+t].
 	inverted []bool
-
-	// bitsTab, present when ADC headstart is on, tabulates the SAR bit
-	// decisions of one (row, slice) pair as a function of the applied
-	// popcount bound's bit length: bitsTab[i·(maxCap+1) + Len(popX·lmax)]
-	// = Σ_t clamp(min(Len(weight_t), Len(popX·lmax)), 1, Resolution).
-	// This is exact because Len is monotone, so Len(min(w, cap)) =
-	// min(Len(w), Len(cap)).
-	bitsTab []uint32
-	maxCap  int
 }
 
-// buildPacked completes the packed mirror once the cluster is
-// programmed: under error injection the lane mirror is copied from the
-// final (post-CIC, post-fault) planes — without it, program has already
-// built the codeword mirror — and with ADC headstart the SAR-bit table
-// is tabulated from the stored-level sums.
-func (c *Cluster) buildPacked() {
-	b := c.block
-	B, nP := c.planeBits, c.nPlanes
-	if c.arr != nil {
-		c.packed = c.laneMirror()
+// buildConvBits tabulates convBits from the stored-level sums when ADC
+// headstart is on.
+func (c *Cluster) buildConvBits() {
+	if !c.adc.Headstart {
+		return
 	}
-	pk := c.packed
-	if c.adc.Headstart {
-		lmax := 1<<B - 1
-		pk.maxCap = bits.Len(uint(b.N * lmax))
-		pk.bitsTab = make([]uint32, b.M*(pk.maxCap+1))
-		res := c.adc.Resolution
-		for i := 0; i < b.M; i++ {
-			row := pk.bitsTab[i*(pk.maxCap+1) : (i+1)*(pk.maxCap+1)]
-			for _, s := range c.storedOnes[i*nP : (i+1)*nP] {
-				lw := bits.Len(uint(s))
-				for cl := 0; cl <= pk.maxCap; cl++ {
-					need := lw
-					if cl < need {
-						need = cl
-					}
-					if need > res {
-						need = res
-					}
-					if need < 1 {
-						need = 1
-					}
-					row[cl] += uint32(need)
-				}
+	b := c.block
+	nP := c.nPlanes
+	lmax := 1<<c.planeBits - 1
+	c.maxCap = bits.Len(uint(b.N * lmax))
+	c.convBits = make([]uint32, b.M*(c.maxCap+1))
+	res := c.adc.Resolution
+	for i := 0; i < b.M; i++ {
+		row := c.convBits[i*(c.maxCap+1) : (i+1)*(c.maxCap+1)]
+		for _, s := range c.storedOnes[i*nP : (i+1)*nP] {
+			lw := bits.Len(uint(s))
+			for cl := range row {
+				row[cl] += uint32(max(min(lw, cl, res), 1))
 			}
 		}
 	}
@@ -226,64 +177,13 @@ func (c *Cluster) laneMirror() *packedPlanes {
 	return pk
 }
 
-// sumCodewords sets the arena's reduction words sumLo, sumHi and sumTop
-// of every output row i to Σ U_ik over the inputs k set in the slice
-// words xw (popX of them) — each row's exact, CIC-decoded reduction for
-// the slice. Each row starts from popX absent-cell codewords
-// popX·A·2^Width, and the deltas of the present cells in the set
-// inputs' columns are added in two's complement modulo 2^(64·words).
-// The true sum is non-negative and below the decode tier's bound, so
-// the wrapped result is exact; only the words the tier reads are
-// maintained.
-func (c *Cluster) sumCodewords(popX int, xw []uint64) {
-	pk, ar := c.packed, &c.arena
-	lo, hi, top := ar.sumLo, ar.sumHi, ar.sumTop
-	lo0, hi0, top0 := absentCodewords(uint64(popX), uint(c.block.Code.Width))
-	for i := range lo {
-		lo[i], hi[i], top[i] = lo0, hi0, top0
-	}
-	for w, xv := range xw {
-		for ; xv != 0; xv &= xv - 1 {
-			k := w*64 + bits.TrailingZeros64(xv)
-			p0, p1 := pk.cwPtr[k], pk.cwPtr[k+1]
-			rows := pk.cwRow[p0:p1]
-			dl := pk.cwLo[p0:p1]
-			dl = dl[:len(rows)]
-			switch c.decWords {
-			case 1:
-				for p, i := range rows {
-					lo[i] += dl[p]
-				}
-			case 2:
-				dh := pk.cwHi[p0:p1]
-				dh = dh[:len(rows)]
-				for p, i := range rows {
-					var cy uint64
-					lo[i], cy = bits.Add64(lo[i], dl[p], 0)
-					hi[i] += dh[p] + cy
-				}
-			default:
-				dh := pk.cwHi[p0:p1]
-				dh = dh[:len(rows)]
-				for p, i := range rows {
-					var cy uint64
-					lo[i], cy = bits.Add64(lo[i], dl[p], 0)
-					hi[i], cy = bits.Add64(hi[i], dh[p], cy)
-					top[i] += uint64(int64(dh[p])>>63) + cy // sign extension
-				}
-			}
-		}
-	}
-}
-
-// mulVecPacked is the packed kernel: the exact traversal order of
+// mulVecLanes is the lane kernel: the exact traversal order of
 // mulVecFix — vector slices outer (most significant first), output rows
 // inner, settle checks after every slice — with each row's reduction
-// taken from the slice's codeword column sums or, under error
-// injection, from one fused pass over the row's lanes, and the decode
-// specialized to the cluster's reduction width. Under injection it
-// consumes the stochastic draw stream in the reference order.
-func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
+// taken from one fused pass over the row's lanes and the decode
+// specialized to the cluster's reduction width. It consumes the
+// stochastic draw stream in the reference order.
+func (c *Cluster) mulVecLanes(x []float64) ([]float64, error) {
 	b := c.block
 	if len(x) != b.N {
 		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
@@ -317,7 +217,6 @@ func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
 	}
 	unsettled := b.M
 
-	codewords := c.packed.cwPtr != nil
 	lmax := 1<<c.planeBits - 1
 	applied := 0
 	for j := vs.Width - 1; j >= 0 && unsettled > 0; j-- {
@@ -341,9 +240,6 @@ func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
 			ar.biased.SetUint(uint64(popX))
 			ar.biased.Lsh(uint(b.Code.Width))
 		}
-		if codewords {
-			c.sumCodewords(popX, xw)
-		}
 		for i := 0; i < b.M; i++ {
 			if settled[i] {
 				c.stats.ConversionsSkipped += uint64(c.nPlanes)
@@ -352,23 +248,15 @@ func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
 			c.stats.Conversions += uint64(c.nPlanes)
 			c.stats.ConversionBits += c.rowConvBits(i, capIdx)
 			var hi, lo uint64
-			if codewords {
-				hi, lo = ar.sumHi[i], ar.sumLo[i]
-				if c.decWords == 0 {
-					clear(c.redWords)
-					c.redWords[0], c.redWords[1], c.redWords[2] = big.Word(lo), big.Word(hi), big.Word(ar.sumTop[i])
-				}
-			} else {
-				c.countLanes(i, xw)
-				c.planeCounts(i, popX, xw)
-				switch c.decWords {
-				case 1:
-					lo = c.reduce64()
-				case 2:
-					hi, lo = c.reduce128()
-				default:
-					c.reduceWords()
-				}
+			c.countLanes(i, xw)
+			c.planeCounts(i, popX, xw)
+			switch c.decWords {
+			case 1:
+				lo = c.reduce64()
+			case 2:
+				hi, lo = c.reduce128()
+			default:
+				c.reduceWords()
 			}
 			switch c.decWords {
 			case 1:
@@ -393,11 +281,10 @@ func (c *Cluster) mulVecPacked(x []float64) ([]float64, error) {
 // rowConvBits returns the total SAR bit decisions for one (row, slice)
 // pair; capIdx is Len(popX·lmax), ignored when headstart is off.
 func (c *Cluster) rowConvBits(i, capIdx int) uint64 {
-	pk := c.packed
-	if pk.bitsTab == nil {
+	if c.convBits == nil {
 		return uint64(c.nPlanes * c.adc.Resolution)
 	}
-	return uint64(pk.bitsTab[i*(pk.maxCap+1)+capIdx])
+	return uint64(c.convBits[i*(c.maxCap+1)+capIdx])
 }
 
 // countLanes accumulates into the arena's lane-count buffer the
@@ -621,8 +508,7 @@ func (c *Cluster) apply128(i, j, popX int, negWeight bool, hi, lo uint64) {
 	ar.run[i].Add(&ar.contrib)
 }
 
-// applySlow routes a nonzero AN syndrome (reachable only under error
-// injection) through the generic correction decode: the raw reduction is
+// applySlow routes a nonzero AN syndrome through the generic correction decode: the raw reduction is
 // re-materialized into redWords and handed to decodeAccumulate, which
 // runs the table corrector exactly as the generic kernel would.
 func (c *Cluster) applySlow(i, j, popX int, negWeight bool, hi, lo uint64) {

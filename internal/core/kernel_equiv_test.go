@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -175,7 +176,7 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 			cfg.InjectErrors = inject
 			cfg.Seed = int64(77 + si)
 			gen, kc := kernelPair(t, sh.blk, cfg)
-			want := "codeword/"
+			want := "exact"
 			if inject {
 				want = "lanes/"
 			}
@@ -190,7 +191,7 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"codeword/128", "codeword/multi", "lanes/128", "lanes/multi"} {
+	for _, k := range []string{"exact", "lanes/128", "lanes/multi"} {
 		if !tiers[k] {
 			t.Errorf("no shape ran %s (ran %v)", k, tiers)
 		}
@@ -205,8 +206,8 @@ func TestKernelSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(992))
 	vals := randBlockVals(rng, 4, 6, 10, 1)
 
-	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); !strings.HasPrefix(got, "codeword/") {
-		t.Errorf("auto kernel without injection = %q, want codeword/*", got)
+	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); got != "exact" {
+		t.Errorf("auto kernel without injection = %q, want exact", got)
 	}
 	inj := DefaultClusterConfig()
 	inj.InjectErrors = true
@@ -236,18 +237,18 @@ func TestKernelSelection(t *testing.T) {
 		}
 	}
 
-	// Decode tiers: a 4-bit-significand block of ones has a reduction
-	// bound far under 64 bits; a 2^64 exponent spread over 8 columns
-	// pushes it past 128.
-	narrow := DefaultClusterConfig()
+	// Lane decode tiers: a 4-bit-significand block of ones has a
+	// reduction bound far under 64 bits; a 2^64 exponent spread over 8
+	// columns pushes it past 128.
+	narrow := inj
 	narrow.MatrixQuant = Quant{Mant: 4}
 	narrow.VectorQuant = Quant{Mant: 4}
-	if got := mustClusterQuant(t, [][]float64{{1, 1, 1, 1}}, narrow).KernelName(); got != "codeword/64" {
-		t.Errorf("narrow block kernel = %q, want codeword/64", got)
+	if got := mustClusterQuant(t, [][]float64{{1, 1, 1, 1}}, narrow).KernelName(); got != "lanes/64" {
+		t.Errorf("narrow block kernel = %q, want lanes/64", got)
 	}
 	wideVals := [][]float64{{1, ldexp64, 1, 1, 1, 1, 1, 1}}
-	if got := mustCluster(t, wideVals, DefaultClusterConfig()).KernelName(); got != "codeword/multi" {
-		t.Errorf("wide block kernel = %q, want codeword/multi", got)
+	if got := mustCluster(t, wideVals, inj).KernelName(); got != "lanes/multi" {
+		t.Errorf("wide block kernel = %q, want lanes/multi", got)
 	}
 }
 
@@ -287,7 +288,7 @@ func mustClusterQuant(t *testing.T, vals [][]float64, cfg ClusterConfig) *Cluste
 // every kernel variant: a warm cluster must run MulVec without a single
 // heap allocation regardless of which kernel and reduction were selected.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for _, name := range []string{"generic", "codeword", "lanes"} {
+	for _, name := range []string{"generic", "exact", "lanes"} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			cfg := DefaultClusterConfig()
@@ -476,4 +477,252 @@ func settleEndpoints(run, pos, neg *big.Int, j, scale int, mode RoundingMode) (f
 // randBelowBits returns a uniform non-negative integer below 2^bits.
 func randBelowBits(rng *rand.Rand, bits int) *big.Int {
 	return new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
+}
+
+// TestKernelEquivalenceSettleReplay holds the exact kernel's searched
+// settle slices to a brute-force replay of the slice walk: for every
+// row, the running sum after slice j is rebuilt with big.Int as
+// 2^j·Σ_k F_ik·⌊X_k/2^j⌋ and put to the reference interval test from the
+// top slice down, and the first j that settles must be the one the
+// kernel reports (ColumnSlicesUsed = W − j). The generic walk must agree
+// in outputs and statistics as well. Covers all four rounding modes,
+// headstart on and off, AN on and off, quantized configurations, empty
+// rows, zero vectors, products near overflow and in the subnormal
+// range, and DisableEarlyTermination.
+func TestKernelEquivalenceSettleReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(997))
+	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
+	quants := []Quant{{}, {Mant: 8}, {Mant: 12, Window: 10}}
+	var rows, settledAt = 0, map[int]bool{}
+	for trial := 0; trial < 320; trial++ {
+		cfg := DefaultClusterConfig()
+		cfg.Rounding = modes[trial%len(modes)]
+		cfg.Headstart = trial%2 == 0
+		cfg.DisableAN = trial%5 == 0
+		cfg.DisableEarlyTermination = trial%9 == 0
+		q := quants[rng.Intn(len(quants))]
+		cfg.MatrixQuant, cfg.VectorQuant = q, q
+		spread := []int{2, 10, 40}[rng.Intn(3)]
+		m, n := 1+rng.Intn(12), 1+rng.Intn(20)
+		vals := randBlockVals(rng, m, n, spread, 0.5)
+		if m > 1 {
+			clear(vals[rng.Intn(m)]) // an empty row
+		}
+		blk := blockQuant(t, vals, q)
+		gen, kc := kernelPair(t, blk, cfg)
+		if got := kc.KernelName(); got != "exact" {
+			t.Fatalf("trial %d: kernel %q, want exact", trial, got)
+		}
+		for call := 0; call < 5; call++ {
+			x := randVec(rng, n, spread+rng.Intn(30), 0.8)
+			if call == 2 {
+				x = make([]float64, n)
+			}
+			// Some vectors move the products next to overflow or into
+			// the subnormal range, where the pre-check defers to the
+			// full test.
+			if e := []int{0, 0, 0, 960, -1000, -1040}[(trial+call)%6]; e != 0 {
+				for k := range x {
+					x[k] = math.Ldexp(x[k], e)
+				}
+			}
+			what := fmt.Sprintf("trial %d call %d", trial, call)
+			assertKernelsAgree(t, gen, kc, x, what)
+			want := replaySettle(t, blk, x, cfg)
+			got := kc.Stats().ColumnSlicesUsed
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s row %d: kernel settles after %d slices, replay after %d (cfg %+v)",
+						what, i, got[i], want[i], cfg)
+				}
+				rows++
+				settledAt[want[i]] = true
+			}
+		}
+	}
+	if rows < 5000 || len(settledAt) < 20 {
+		t.Fatalf("coverage too thin: %d rows, %d distinct settle points", rows, len(settledAt))
+	}
+}
+
+// replaySettle returns, per row of blk, the slices the walk applies
+// before the row settles on x (the vector width when it never does, 0
+// for a zero vector or block), computed with big.Int from the block's
+// aligned integers and the reference interval test.
+func replaySettle(t *testing.T, blk *Block, x []float64, cfg ClusterConfig) []int {
+	t.Helper()
+	used := make([]int, blk.M)
+	vs, err := SliceVectorQuant(x, cfg.VectorMaxPad, cfg.VectorQuant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs.Code.Empty || blk.Code.Empty {
+		return used
+	}
+	W, scale := vs.Width, CombinedScale(blk.Code, vs.Code)
+	run, term, f := new(big.Int), new(big.Int), new(big.Int)
+	for i := range used {
+		used[i] = W
+		for j := W - 1; j >= 1 && !cfg.DisableEarlyTermination; j-- {
+			run.SetInt64(0)
+			for p := blk.RowPtr[i]; p < blk.RowPtr[i+1]; p++ {
+				term.Rsh(vs.Ints[blk.Cols[p]], uint(j)) // floor division
+				run.Add(run, term.Mul(term, blk.F[p].Big(f)))
+			}
+			run.Lsh(run, uint(j))
+			rest := RemainingWeight(j)
+			lo := new(big.Int).Mul(rest, blk.RowNeg[i])
+			hi := new(big.Int).Mul(rest, blk.RowPos[i])
+			if _, ok := IntervalSettled(run, lo, hi, scale, cfg.Rounding); ok {
+				used[i] = W - j
+				break
+			}
+		}
+	}
+	return used
+}
+
+// blockQuant builds a block from dense values under a quantization.
+func blockQuant(t *testing.T, vals [][]float64, q Quant) *Block {
+	t.Helper()
+	var coefs []Coef
+	for i := range vals {
+		for j, v := range vals[i] {
+			if v != 0 {
+				coefs = append(coefs, Coef{Row: i, Col: j, Val: v})
+			}
+		}
+	}
+	blk, err := NewBlockQuant(len(vals), len(vals[0]), coefs, MaxPadBits, q)
+	if err != nil {
+		t.Fatalf("NewBlockQuant: %v", err)
+	}
+	return blk
+}
+
+// TestKernelEquivalenceWideVectors feeds vector segments whose exponent
+// spread runs from 100 bits to 2,000 (VectorMaxPad allows 2,100): the
+// exact kernel's row sums then leave its four-word register accumulator
+// for the multi-word one, and the walk's running sums span dozens of
+// words. Outputs and statistics must match the generic walk, with and
+// without early termination, and so must the lane kernel's under
+// injection.
+func TestKernelEquivalenceWideVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(998))
+	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
+	var narrow, wide int
+	for trial, spread := range []int{100, 160, 300, 700, 1000, 1500, 2000, 2090} {
+		for _, inject := range []bool{false, true} {
+			cfg := DefaultClusterConfig()
+			cfg.Rounding = modes[trial%len(modes)]
+			cfg.InjectErrors = inject
+			cfg.Seed = int64(500 + trial)
+			cfg.DisableEarlyTermination = trial%3 == 2 && !inject
+			m, n := 3+rng.Intn(6), 4+rng.Intn(12)
+			blk, err := NewBlockDense(randBlockVals(rng, m, n, []int{3, 30, MaxPadBits}[trial%3], 0.7), MaxPadBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, kc := kernelPair(t, blk, cfg)
+			for call := 0; call < 4; call++ {
+				x := randVec(rng, n, min(spread, 2040), 0.9)
+				// Pin the spread: the extremes of the range are present.
+				top := min(spread-spread/2, 1020)
+				x[0] = math.Ldexp(-1.25, top-spread)
+				x[n-1] = math.Ldexp(1.75, top)
+				if call == 3 {
+					x[0] = 0 // only the top of the range
+				}
+				assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("spread %d inject=%v call %d", spread, inject, call))
+				if kc.exact {
+					if kc.arena.exact.narrow {
+						narrow++
+					} else {
+						wide++
+					}
+				}
+			}
+		}
+	}
+	if wide < 20 {
+		t.Fatalf("only %d calls used the multi-word accumulator (%d the four-word one)", wide, narrow)
+	}
+}
+
+// TestKernelEquivalenceAddTerm checks addTerm, the exact kernel's multi-word
+// accumulate, against big.Int: products at every bit offset, added
+// into accumulators whose words are often all ones so that carries run
+// past the four-word window.
+func TestKernelEquivalenceAddTerm(t *testing.T) {
+	if wordBits != 64 {
+		t.Skip("addTerm requires 64-bit big.Words")
+	}
+	rng := rand.New(rand.NewSource(999))
+	ws := make([]big.Word, 12)
+	want, got, term := new(big.Int), new(big.Int), new(big.Int)
+	carried := 0
+	for trial := 0; trial < 20000; trial++ {
+		for w := range ws {
+			switch rng.Intn(3) {
+			case 0:
+				ws[w] = ^big.Word(0)
+			case 1:
+				ws[w] = big.Word(rng.Uint64())
+			default:
+				ws[w] = 0
+			}
+		}
+		ws[len(ws)-1] = 0                        // headroom for the carry
+		lo, hi := rng.Uint64(), rng.Uint64()>>11 // below 2^117
+		m := rng.Uint64() >> uint(rng.Intn(64))
+		sh := uint(rng.Intn(64 * 6))
+		want.SetBits(append([]big.Word(nil), ws...))
+		Int128{Lo: lo, Hi: hi}.Big(term)
+		term.Mul(term, new(big.Int).SetUint64(m))
+		want.Add(want, term.Lsh(term, sh))
+		top := ws[sh/64+4]
+		addTerm(ws, lo, hi, m, sh)
+		if ws[sh/64+4] != top {
+			carried++
+		}
+		if got.SetBits(ws); got.Cmp(want) != 0 {
+			t.Fatalf("trial %d: addTerm(%#x, %#x, %#x, %d) = %x, want %x", trial, lo, hi, m, sh, got, want)
+		}
+	}
+	if carried < 1000 {
+		t.Fatalf("only %d trials carried past the window", carried)
+	}
+}
+
+// TestKernelEquivalenceSetInt256 checks the four-word two's-complement bridge into Fix.
+func TestKernelEquivalenceSetInt256(t *testing.T) {
+	if wordBits != 64 {
+		t.Skip("setInt256 requires 64-bit big.Words")
+	}
+	rng := rand.New(rand.NewSource(1000))
+	mod := new(big.Int).Lsh(big.NewInt(1), 256)
+	f := newFixWords(4)
+	want, got := new(big.Int), new(big.Int)
+	for trial := 0; trial < 5000; trial++ {
+		var a [4]uint64
+		for w := range a {
+			if rng.Intn(4) != 0 {
+				a[w] = rng.Uint64()
+			} else if rng.Intn(2) == 0 {
+				a[w] = ^uint64(0)
+			}
+		}
+		f.setInt256(int256(a))
+		want.SetInt64(0)
+		for w := 3; w >= 0; w-- {
+			want.Lsh(want, 64)
+			want.Add(want, new(big.Int).SetUint64(a[w]))
+		}
+		if a[3]>>63 == 1 {
+			want.Sub(want, mod)
+		}
+		if f.AppendBig(got); got.Cmp(want) != 0 {
+			t.Fatalf("setInt256(%x) = %s, want %s", a, got, want)
+		}
+	}
 }

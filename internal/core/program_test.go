@@ -23,9 +23,18 @@ func cellByCellPlanes(blk *Block, B int, cic bool) []*xbar.Plane {
 		planes[t] = xbar.NewPlane(blk.M, blk.N, B)
 	}
 	u := new(big.Int)
+	f := make([]*big.Int, blk.M*blk.N)
+	for i := 0; i < blk.M; i++ {
+		for j := range blk.N {
+			f[i*blk.N+j] = new(big.Int)
+		}
+		for p := blk.RowPtr[i]; p < blk.RowPtr[i+1]; p++ {
+			blk.F[p].Big(f[i*blk.N+int(blk.Cols[p])])
+		}
+	}
 	for i := 0; i < blk.M; i++ {
 		for j := 0; j < blk.N; j++ {
-			u.Add(blk.F[i*blk.N+j], blk.Code.Bias())
+			u.Add(f[i*blk.N+j], blk.Code.Bias())
 			u.Mul(u, big.NewInt(ancode.A))
 			for t, p := range planes {
 				var level uint8
@@ -234,32 +243,42 @@ func comparePlanes(t *testing.T, what string, c *Cluster, want []*xbar.Plane) {
 	}
 }
 
-// TestKernelEquivalenceCodewordClustersHoldNoPlanes pins where planes
-// exist: an error-free cluster under the packed kernel, its forks (and
-// their forks) and a re-programming of the same block — what refresh
-// does — build no bit plane and keep the decode tier's kernel name,
-// while the generic, reference and injected clusters keep their planes.
-func TestKernelEquivalenceCodewordClustersHoldNoPlanes(t *testing.T) {
+// TestKernelEquivalenceExactClustersHoldNoPlanes pins where planes and
+// the slice walk's arena exist: an error-free cluster under the
+// automatic kernel, its forks (and their forks) and a re-programming of
+// the same block — what refresh does — build no bit plane, no per-row
+// running sums, vector bitmaps, reduction scratch or AN corrector, and
+// keep the exact kernel, while
+// the generic, reference and injected clusters keep their planes.
+func TestKernelEquivalenceExactClustersHoldNoPlanes(t *testing.T) {
 	narrow := DefaultClusterConfig()
 	narrow.MatrixQuant = Quant{Mant: 4}
 	for _, tc := range []struct {
 		vals [][]float64
 		cfg  ClusterConfig
-		name string
 	}{
-		{[][]float64{{1, 1, 1, 1}}, narrow, "codeword/64"},
-		{[][]float64{{1, 0, -3.5}, {0, 2, 0.25}}, DefaultClusterConfig(), "codeword/128"},
-		{[][]float64{{1, ldexp64, 1, 1, 1, 1, 1, 1}}, DefaultClusterConfig(), "codeword/multi"},
+		{[][]float64{{1, 1, 1, 1}}, narrow},
+		{[][]float64{{1, 0, -3.5}, {0, 2, 0.25}}, DefaultClusterConfig()},
+		{[][]float64{{1, ldexp64, 1, 1, 1, 1, 1, 1}}, DefaultClusterConfig()},
 	} {
 		c := mustClusterQuant(t, tc.vals, tc.cfg)
+		if _, err := c.MulVec(make([]float64, len(tc.vals[0]))); err != nil {
+			t.Fatal(err)
+		}
 		again := mustClusterQuant(t, tc.vals, tc.cfg)
 		fork := c.Fork()
 		for what, cl := range map[string]*Cluster{"origin": c, "fork": fork, "fork of fork": fork.Fork(), "re-programmed": again} {
 			if cl.planes != nil {
-				t.Errorf("%s %s: holds %d planes", tc.name, what, len(cl.planes))
+				t.Errorf("%v %s: holds %d planes", tc.vals, what, len(cl.planes))
 			}
-			if got := cl.KernelName(); got != tc.name {
-				t.Errorf("%s %s: kernel %q", tc.name, what, got)
+			if got := cl.KernelName(); got != "exact" {
+				t.Errorf("%v %s: kernel %q", tc.vals, what, got)
+			}
+			if ar := &cl.arena; ar.run != nil || ar.runBack != nil || ar.vs.slicesBuf != nil {
+				t.Errorf("%v %s: holds the slice walk's running sums or bitmaps", tc.vals, what)
+			}
+			if cl.corr != nil || len(cl.redWords) != 0 {
+				t.Errorf("%v %s: holds an AN corrector or reduction scratch", tc.vals, what)
 			}
 		}
 	}

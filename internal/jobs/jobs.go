@@ -78,39 +78,61 @@ const DefaultMaxEvents = 4096
 // Since in a loop, blocking on the returned channel between polls —
 // there is no per-subscriber goroutine or buffer to overflow, and a
 // subscriber that joins late replays the retained prefix first.
+//
+// A finished job's log stays resident for the job's TTL, so the log
+// keeps each iteration event as an (iteration, residual) pair, trims
+// the pairs to length when it closes, and keeps of the terminal event
+// only its state. Closed logs share one closed notify channel.
 type EventLog struct {
 	mu      sync.Mutex
-	events  []Event
+	iters   []iterSample
+	final   State // terminal state, once closed
 	dropped int
 	closed  bool
 	notify  chan struct{}
 }
+
+// iterSample is one retained iteration event.
+type iterSample struct {
+	iteration int
+	residual  float64
+}
+
+// closedNotify is the notify channel of every closed log: closed, so
+// a subscriber selecting on it never blocks.
+var closedNotify = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
 
 // NewEventLog returns an empty open log.
 func NewEventLog() *EventLog {
 	return &EventLog{notify: make(chan struct{})}
 }
 
-// Append records an iteration event and wakes subscribers. Appends after
-// Close are ignored. Past the retention cap the event is counted dropped
-// but subscribers blocked in Since still wake and observe the log
-// unchanged — they rely on the terminal event for completeness.
+// Append records an iteration event (its Iteration and Residual; the
+// type is always EventIteration) and wakes subscribers. Appends after
+// Close are ignored. Past the retention cap the event is counted
+// dropped but subscribers blocked in Since still wake and observe the
+// log unchanged — they rely on the terminal event for completeness.
 func (l *EventLog) Append(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	if len(l.events) >= DefaultMaxEvents-1 {
+	if len(l.iters) >= DefaultMaxEvents-1 {
 		l.dropped++
 	} else {
-		l.events = append(l.events, e)
+		l.iters = append(l.iters, iterSample{e.Iteration, e.Residual})
 	}
-	l.wakeLocked()
+	close(l.notify)
+	l.notify = make(chan struct{})
 }
 
-// Close appends the terminal event and seals the log. Subsequent Close
-// calls are ignored.
+// Close appends the terminal event, of which the log keeps the state,
+// and seals the log. Subsequent Close calls are ignored.
 func (l *EventLog) Close(final Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -118,13 +140,10 @@ func (l *EventLog) Close(final Event) {
 		return
 	}
 	l.closed = true
-	l.events = append(l.events, final)
-	l.wakeLocked()
-}
-
-func (l *EventLog) wakeLocked() {
+	l.final = final.State
+	l.iters = append([]iterSample(nil), l.iters...)
 	close(l.notify)
-	l.notify = make(chan struct{})
+	l.notify = closedNotify
 }
 
 // Since returns the events at index >= from, a channel that is closed on
@@ -140,8 +159,11 @@ func (l *EventLog) wakeLocked() {
 func (l *EventLog) Since(from int) (evs []Event, next <-chan struct{}, closed bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from < len(l.events) {
-		evs = append(evs, l.events[from:]...)
+	for _, it := range l.iters[min(from, len(l.iters)):] {
+		evs = append(evs, Event{Type: EventIteration, Iteration: it.iteration, Residual: it.residual})
+	}
+	if l.closed && from <= len(l.iters) {
+		evs = append(evs, Event{Type: EventDone, State: l.final})
 	}
 	return evs, l.notify, l.closed
 }
@@ -163,6 +185,9 @@ type Job struct {
 	Tenant string
 	// Events carries the per-iteration stream.
 	Events *EventLog
+
+	// store created the job and is told when it finishes.
+	store *Store
 
 	mu       sync.Mutex
 	state    State
@@ -258,25 +283,18 @@ func (j *Job) Finish(state State, result any, errMsg string) {
 	j.finished = time.Now()
 	j.result = result
 	j.errMsg = errMsg
+	at := j.finished
 	j.mu.Unlock()
 	j.Events.Close(Event{Type: EventDone, State: state})
-}
-
-// finishedAt returns the terminal timestamp (zero if not terminal).
-func (j *Job) finishedAt() time.Time {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return time.Time{}
-	}
-	return j.finished
+	j.store.finished(j, at)
 }
 
 // StoreConfig sizes a Store.
 type StoreConfig struct {
 	// Capacity bounds resident jobs, terminal included — the store is
-	// the poll window, so completed jobs occupy capacity until their TTL
-	// expires (<= 0 = 4096).
+	// the poll window, so completed jobs stay until their TTL expires or,
+	// at capacity, a new job evicts the one that finished first
+	// (<= 0 = 4096).
 	Capacity int
 	// TTL is how long terminal jobs stay pollable (<= 0 = 10m). Queued
 	// and running jobs never expire.
@@ -289,22 +307,29 @@ const (
 	DefaultTTL      = 10 * time.Minute
 )
 
-// ErrStoreFull is returned by Create when the store is at capacity after
-// sweeping expired jobs — the admission signal for 503 + Retry-After.
+// ErrStoreFull is returned by Create when every resident job is queued
+// or running at capacity — the admission signal for 503 + Retry-After.
 var ErrStoreFull = fmt.Errorf("jobs: store full")
 
 // Store is a bounded, TTL-swept job table. All methods are safe for
-// concurrent use. Sweeping is opportunistic (on Create and Counts) so
-// the store needs no background goroutine.
+// concurrent use. Sweeping is opportunistic (on Create, Counts and Len)
+// so the store needs no background goroutine.
 type Store struct {
 	capacity int
 	ttl      time.Duration
 
 	mu   sync.Mutex
 	jobs map[string]*Job
-	// order is creation order, the sweep scan list. Entries are lazily
-	// compacted when swept.
-	order []*Job
+	// done lists the terminal jobs in the order they finished. Expiry
+	// and capacity eviction both take from its front, so neither scans
+	// the store.
+	done []doneJob
+}
+
+// doneJob is a terminal job and the time it finished.
+type doneJob struct {
+	job *Job
+	at  time.Time
 }
 
 // NewStore builds an empty store.
@@ -327,19 +352,25 @@ func newID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Create admits a new queued job, or returns ErrStoreFull.
+// Create admits a new queued job. At capacity it evicts the job that
+// finished first, and returns ErrStoreFull only when no resident job
+// has finished.
 func (s *Store) Create(tenant string) (*Job, error) {
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sweepLocked(now)
 	if len(s.jobs) >= s.capacity {
-		return nil, ErrStoreFull
+		if len(s.done) == 0 {
+			return nil, ErrStoreFull
+		}
+		s.dropFirstLocked()
 	}
 	j := &Job{
 		ID:      newID(),
 		Tenant:  tenant,
 		Events:  NewEventLog(),
+		store:   s,
 		state:   StateQueued,
 		created: now,
 	}
@@ -347,8 +378,14 @@ func (s *Store) Create(tenant string) (*Job, error) {
 		j.ID = newID()
 	}
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j)
 	return j, nil
+}
+
+// finished records that j reached a terminal state at time at.
+func (s *Store) finished(j *Job, at time.Time) {
+	s.mu.Lock()
+	s.done = append(s.done, doneJob{job: j, at: at})
+	s.mu.Unlock()
 }
 
 // Get returns the job by ID, or nil.
@@ -380,19 +417,18 @@ func (s *Store) Len() int {
 	return len(s.jobs)
 }
 
-// sweepLocked drops terminal jobs whose TTL expired. Callers hold s.mu.
+// sweepLocked drops terminal jobs whose TTL expired, oldest first.
+// Callers hold s.mu.
 func (s *Store) sweepLocked(now time.Time) {
-	kept := s.order[:0]
-	for _, j := range s.order {
-		if at := j.finishedAt(); !at.IsZero() && now.Sub(at) >= s.ttl {
-			delete(s.jobs, j.ID)
-			continue
-		}
-		kept = append(kept, j)
+	for len(s.done) > 0 && now.Sub(s.done[0].at) >= s.ttl {
+		s.dropFirstLocked()
 	}
-	// Zero the tail so swept jobs are collectable.
-	for i := len(kept); i < len(s.order); i++ {
-		s.order[i] = nil
-	}
-	s.order = kept
+}
+
+// dropFirstLocked removes the job that finished first. Callers hold
+// s.mu.
+func (s *Store) dropFirstLocked() {
+	delete(s.jobs, s.done[0].job.ID)
+	s.done[0] = doneJob{} // collectable once the slice moves on
+	s.done = s.done[1:]
 }

@@ -182,3 +182,76 @@ func TestStoreConcurrency(t *testing.T) {
 		t.Fatalf("len %d, want 400", n)
 	}
 }
+
+// TestStoreEvictsOldestFinished: at capacity, a new job evicts the
+// resident job that finished first — not the oldest created, and never
+// a queued or running one — and the store refuses only when every
+// resident job is still live.
+func TestStoreEvictsOldestFinished(t *testing.T) {
+	s := NewStore(StoreConfig{Capacity: 3, TTL: time.Hour})
+	a, _ := s.Create("t")
+	b, _ := s.Create("t")
+	c, _ := s.Create("t")
+	b.Start()
+	b.Finish(StateDone, nil, "")
+	a.Finish(StateShed, nil, "shed")
+	d, err := s.Create("t")
+	if err != nil {
+		t.Fatalf("create at capacity with finished jobs resident: %v", err)
+	}
+	if s.Get(b.ID) != nil || s.Get(a.ID) == nil {
+		t.Fatal("eviction did not take the job that finished first")
+	}
+	if _, err := s.Create("t"); err != nil {
+		t.Fatalf("second eviction: %v", err)
+	}
+	if s.Get(a.ID) != nil {
+		t.Fatal("second eviction did not take the remaining finished job")
+	}
+	if _, err := s.Create("t"); err != ErrStoreFull {
+		t.Fatalf("err %v with only live jobs resident, want ErrStoreFull", err)
+	}
+	if s.Get(c.ID) == nil || s.Get(d.ID) == nil || s.Len() != 3 {
+		t.Fatalf("live jobs evicted: len %d", s.Len())
+	}
+	c.Finish(StateDone, nil, "")
+	if _, err := s.Create("t"); err != nil || s.Get(c.ID) != nil {
+		t.Fatalf("create after a job finished: %v (finished job resident: %v)", err, s.Get(c.ID) != nil)
+	}
+}
+
+// TestEventLogClosedForm: a closed log replays the same events from any
+// offset, keeps no slack past its iterations, and hands every
+// subscriber the one shared closed channel.
+func TestEventLogClosedForm(t *testing.T) {
+	l := NewEventLog()
+	for i := 1; i <= 5; i++ {
+		l.Append(Event{Type: EventIteration, Iteration: i, Residual: 1 / float64(i)})
+	}
+	l.Close(Event{Type: EventDone, State: StateTimeout})
+	if cap(l.iters) != 5 {
+		t.Fatalf("closed log keeps capacity %d for 5 iterations", cap(l.iters))
+	}
+	for from := 0; from <= 7; from++ {
+		evs, next, closed := l.Since(from)
+		if !closed || next != closedNotify {
+			t.Fatalf("from %d: closed=%v, shared channel=%v", from, closed, next == closedNotify)
+		}
+		if want := max(6-from, 0); len(evs) != want {
+			t.Fatalf("from %d: %d events, want %d", from, len(evs), want)
+		}
+		for k, e := range evs {
+			switch i := from + k; {
+			case i < 5 && (e.Type != EventIteration || e.Iteration != i+1 || e.Residual != 1/float64(i+1) || e.State != ""):
+				t.Fatalf("from %d: event %d = %+v", from, i, e)
+			case i == 5 && (e != Event{Type: EventDone, State: StateTimeout}):
+				t.Fatalf("from %d: terminal event %+v", from, e)
+			}
+		}
+	}
+	select {
+	case <-closedNotify:
+	default:
+		t.Fatal("shared notify channel of closed logs is open")
+	}
+}

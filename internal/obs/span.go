@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"bytes"
+	"compress/flate"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -370,4 +373,57 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	s.Attrs = j.Attrs
 	s.Children = j.Children
 	return nil
+}
+
+// FrozenSpan is a finished span tree kept only to be rendered again —
+// a finished job's, resident for the job's TTL — as its JSON,
+// flate-compressed: a fraction of the live tree's heap (string
+// headers, attribute maps, child pointers). Its MarshalJSON renders
+// the same JSON the tree rendered when frozen.
+type FrozenSpan struct {
+	z []byte
+}
+
+// Compressors are pooled: each flate.NewWriter allocates about a
+// megabyte of tables.
+var (
+	deflaters sync.Pool
+	inflaters sync.Pool
+)
+
+// Freeze renders the tree and keeps it compressed; nil for a nil span.
+// The tree must not change afterwards for the rendering to stay
+// current.
+func (s *Span) Freeze() *FrozenSpan {
+	if s == nil {
+		return nil
+	}
+	js, err := json.Marshal(s)
+	if err != nil {
+		panic(fmt.Sprintf("obs: rendering span tree: %v", err)) // strings and numbers only
+	}
+	var buf bytes.Buffer
+	w, _ := deflaters.Get().(*flate.Writer)
+	if w == nil {
+		w, _ = flate.NewWriter(&buf, flate.DefaultCompression)
+	} else {
+		w.Reset(&buf)
+	}
+	// Writes to a bytes.Buffer cannot fail.
+	_, _ = w.Write(js)
+	_ = w.Close()
+	deflaters.Put(w)
+	return &FrozenSpan{z: bytes.Clone(buf.Bytes())}
+}
+
+// MarshalJSON inflates the stored rendering.
+func (f *FrozenSpan) MarshalJSON() ([]byte, error) {
+	r, _ := inflaters.Get().(io.ReadCloser)
+	if r == nil {
+		r = flate.NewReader(bytes.NewReader(f.z))
+	} else if err := r.(flate.Resetter).Reset(bytes.NewReader(f.z), nil); err != nil {
+		return nil, err
+	}
+	defer inflaters.Put(r)
+	return io.ReadAll(r)
 }

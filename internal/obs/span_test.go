@@ -213,3 +213,58 @@ func TestSpanEndIdempotent(t *testing.T) {
 		t.Fatal("second End changed the duration")
 	}
 }
+
+// TestFrozenSpanRendersSameJSON: a frozen tree renders byte for byte
+// what the live tree rendered — nested children, attributes that need
+// HTML escaping, hardware counters, a grafted remote subtree — alone
+// and embedded in an enclosing document, and a nil span freezes to
+// nil. The compressed form is well under the rendering's size.
+func TestFrozenSpanRendersSameJSON(t *testing.T) {
+	root := NewSpan("a", "job")
+	root.SetAttr("request_id", "req-<1>&")
+	q := root.StartChild("queue")
+	q.End()
+	p := root.StartChild("program")
+	p.SetAttr("cache_hit", "false")
+	p.End()
+	s := root.StartChild("solve")
+	s.SetHW(HWCounters{Slices: 4096, ADCConversions: 1 << 20, EarlyTermSaved: 77})
+	s.SetAttr("iterations", "31")
+	s.End()
+	remote := ContinueSpan(root.Context(), "b", "request")
+	remote.StartChild("solve").End()
+	remote.End()
+	root.Graft(remote)
+	root.End()
+
+	want, err := json.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := root.Freeze()
+	for k := 0; k < 2; k++ { // the inflater is pooled: render twice
+		got, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("frozen tree renders\n%s\nlive tree\n%s", got, want)
+		}
+	}
+	type doc struct {
+		N    int   `json:"n"`
+		Span any   `json:"span,omitempty"`
+		Tail []int `json:"tail"`
+	}
+	live, _ := json.Marshal(doc{N: 1, Span: root, Tail: []int{2}})
+	frozen, _ := json.Marshal(doc{N: 1, Span: f, Tail: []int{2}})
+	if string(live) != string(frozen) {
+		t.Fatalf("embedded frozen tree renders\n%s\nlive\n%s", frozen, live)
+	}
+	if len(f.z) >= len(want)/2 {
+		t.Errorf("frozen tree holds %d bytes for a %d-byte rendering", len(f.z), len(want))
+	}
+	if (*Span)(nil).Freeze() != nil {
+		t.Error("nil span froze to a non-nil tree")
+	}
+}

@@ -77,8 +77,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 	job, err := s.store.Create(tenant)
 	if err != nil {
+		// Every resident job is queued or running: capacity returns as
+		// they finish.
 		s.metrics.sheds.Inc()
-		w.Header().Set(retryAfterHeaderName, retryAfterSeconds(s.cfg.JobTTL))
+		w.Header().Set(retryAfterHeaderName, retryAfterSeconds(s.estimatedDrain()))
 		s.fail(w, http.StatusServiceUnavailable, "job store full; retry later")
 		return
 	}
@@ -321,16 +323,28 @@ func (s *Server) runJob(ctx context.Context, item *queuedJob) {
 	s.finishJob(job, resp, err)
 }
 
-// finishJob maps an execution outcome onto the job state machine.
+// finishJob maps an execution outcome onto the job state machine. A
+// done job keeps its response with the span tree frozen.
 func (s *Server) finishJob(job *jobs.Job, resp *SolveResponse, err error) {
 	switch {
 	case err == nil:
-		job.Finish(jobs.StateDone, resp, "")
+		done := &finishedResponse{SolveResponse: resp, Span: resp.Span.Freeze()}
+		resp.Span = nil
+		job.Finish(jobs.StateDone, done, "")
 	case errors.Is(err, context.DeadlineExceeded):
 		job.Finish(jobs.StateTimeout, nil, err.Error())
 	default:
 		job.Finish(jobs.StateFailed, nil, err.Error())
 	}
+}
+
+// finishedResponse is a done job's result as the job store keeps it
+// until the job expires or is evicted: the response with its span tree
+// frozen (obs.FrozenSpan). It renders the same JSON — the outer Span
+// hides the response's own, which is nil, in the same last position.
+type finishedResponse struct {
+	*SolveResponse
+	Span *obs.FrozenSpan `json:"span,omitempty"`
 }
 
 // recoverJob converts a panicking solve (a diverging job can hand the
@@ -480,7 +494,7 @@ func (s *Server) runBatch(ctx context.Context, batch []*queuedJob) {
 		}
 		resp.Hardware = &st
 		resp.Span = it.span
-		it.job.Finish(jobs.StateDone, resp, "")
+		s.finishJob(it.job, resp, nil)
 	}
 	s.logger.Info("batch solve",
 		"jobs", len(started), "key", spec.key, "rows", spec.m.Rows(),

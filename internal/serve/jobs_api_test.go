@@ -6,11 +6,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"memsci/internal/core"
 	"memsci/internal/jobs"
+	"memsci/internal/matgen"
+	"memsci/internal/obs"
 )
 
 func contextWithTestTimeout(t *testing.T) (context.Context, context.CancelFunc) {
@@ -467,4 +471,90 @@ func grepMetrics(text, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestFinishedResponseRendersSameJSON: the form a done job keeps its
+// result in renders byte for byte the JSON of the response it was
+// built from, span tree included, and without a span.
+func TestFinishedResponseRendersSameJSON(t *testing.T) {
+	root := obs.NewSpan("n1", "job")
+	root.SetAttr("job", "abc")
+	sp := root.StartChild("solve")
+	sp.SetHW(obs.HWCounters{Slices: 9, ADCConversions: 1234})
+	sp.End()
+	root.End()
+	st := core.ComputeStats{Ops: 3, Conversions: 99, ColumnSlicesUsed: []int{5, 6}}
+	for _, span := range []*obs.Span{root, nil} {
+		resp := &SolveResponse{X: []float64{1.5, -2, 1e-300}, Iterations: 31, Converged: true, Residual: 3e-7,
+			Method: "cg", Backend: "accel", Rows: 3, NNZ: 7, Cache: &CacheInfo{Hit: true, Key: "k"},
+			Hardware: &st, Timings: Timings{Parse: 1, Solve: 2, Total: 3}, Node: "n1", BatchSize: 2, Span: span}
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := &finishedResponse{SolveResponse: resp, Span: resp.Span.Freeze()}
+		resp.Span = nil
+		got, err := json.Marshal(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("finished response renders\n%s\nwant\n%s", got, want)
+		}
+	}
+}
+
+// TestFinishedJobRetainedBytes measures what a finished 256-row job
+// keeps resident for its TTL — solution, event log, span tree, response
+// and job record — as the growth of the live heap after GC between 100
+// and 300 finished jobs on the end-to-end benchmark's jobs-miss operator
+// shape, and holds it to 4 KB per job: the 2 KB solution plus a trimmed
+// event log, a frozen span tree, the response and the job record (about
+// 3.3 KB in all on a 64-bit host).
+func TestFinishedJobRetainedBytes(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	m := matgen.Spec{Name: "retained", Rows: 256, NNZ: 256 * 9, SPD: true, Class: matgen.Banded,
+		Band: 16, ExpSpread: 2, Seed: 7, DiagMargin: 2}.Generate()
+	body, err := json.Marshal(SolveRequest{Matrix: mmText(t, m), B: testVector(256, 8), Method: "cg", Tol: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := contextWithTestTimeout(t)
+	defer cancel()
+	run := func(n int) {
+		for n > 0 {
+			batch := min(n, DefaultQueueDepth/2)
+			for i := 0; i < batch; i++ {
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+				if rec.Code != http.StatusAccepted {
+					t.Fatalf("submit status %d: %s", rec.Code, rec.Body)
+				}
+			}
+			if err := s.DrainJobs(ctx); err != nil {
+				t.Fatal(err)
+			}
+			n -= batch
+		}
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC() // a second cycle frees pooled compressors too
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run(100)
+	before := live()
+	run(200)
+	after := live()
+	if c := s.Jobs().Counts(); c[jobs.StateDone] != 300 {
+		t.Fatalf("resident jobs %v, want 300 done", c)
+	}
+	per := (float64(after) - float64(before)) / 200
+	t.Logf("retained per finished job: %.0f bytes", per)
+	if per > 4096 {
+		t.Fatalf("a finished 256-row job retains %.0f bytes, want at most 4096", per)
+	}
 }
