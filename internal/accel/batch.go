@@ -40,10 +40,10 @@ func (e *Engine) ApplyBatch(ys, xs [][]float64) {
 	workers := parallel.Clamp(e.Parallelism, len(xs))
 	if workers <= 1 {
 		for k := range xs {
-			e.reseedErrors(epoch, uint64(k))
+			e.ReseedErrors(epoch, uint64(k))
 			e.applyOnce(ys[k], xs[k])
 		}
-		e.reseedErrors(epoch, uint64(len(xs)))
+		e.ReseedErrors(epoch, uint64(len(xs)))
 		e.maybeRefresh()
 		return
 	}
@@ -55,7 +55,7 @@ func (e *Engine) ApplyBatch(ys, xs [][]float64) {
 	parallel.For(workers, workers, func(w int) {
 		eng := e.batchForks[w]
 		for k := w; k < len(xs); k += workers {
-			eng.reseedErrors(epoch, uint64(k))
+			eng.ReseedErrors(epoch, uint64(k))
 			eng.applyOnce(ys[k], xs[k])
 		}
 	})
@@ -65,13 +65,16 @@ func (e *Engine) ApplyBatch(ys, xs [][]float64) {
 			f.clusters[i].cluster.ResetStats()
 		}
 	}
-	e.reseedErrors(epoch, uint64(len(xs)))
+	e.ReseedErrors(epoch, uint64(len(xs)))
 	e.maybeRefresh()
 }
 
-// reseedErrors rewinds every cluster's error sampler to the derived
+// ReseedErrors rewinds every cluster's error sampler to the derived
 // stream for RHS k of batch epoch; a no-op without error injection.
-func (e *Engine) reseedErrors(epoch, k uint64) {
+// ApplyBatch reseeds this way before each right-hand side; a caller that
+// reseeds to the same (epoch, k) before each Apply replays the same
+// draws every time.
+func (e *Engine) ReseedErrors(epoch, k uint64) {
 	for _, eb := range e.clusters {
 		eb.cluster.ReseedErrors(epoch, k)
 	}

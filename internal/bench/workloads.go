@@ -35,6 +35,7 @@ func All() []Benchmark {
 		{Name: "engine/apply/serial", Setup: func(p Preset) (*Instance, error) { return setupEngineApply(p, 1) }},
 		{Name: "engine/apply/parallel", Setup: func(p Preset) (*Instance, error) { return setupEngineApply(p, runtime.GOMAXPROCS(0)) }},
 		{Name: "engine/apply/batch", Setup: setupEngineApplyBatch},
+		{Name: "engine/apply/inject", Setup: setupEngineApplyInject},
 		{Name: "solve/csr/cg", Setup: func(p Preset) (*Instance, error) { return setupCSRSolve(p, "cg") }},
 		{Name: "solve/csr/bicgstab", Setup: func(p Preset) (*Instance, error) { return setupCSRSolve(p, "bicgstab") }},
 		{Name: "solve/csr/bicg", Setup: func(p Preset) (*Instance, error) { return setupCSRSolve(p, "bicg") }},
@@ -194,6 +195,51 @@ func setupEngineApplyBatch(p Preset) (*Instance, error) {
 				"batch":                   batchRHS,
 				"adc_conversions_per_sec": float64(s.Conversions) * perSec(1, total),
 				"rhs_per_sec":             float64(batchRHS) * perSec(p.Reps, total),
+			}
+		},
+	}, nil
+}
+
+// setupEngineApplyInject times one injected Apply, the MVM of the
+// Monte-Carlo device studies (Figs. 12/13), on the end-to-end
+// benchmark's mc-inject operator: a 96-row banded SPD system blocked on
+// the 512 substrate, single-bit TaOx cells at 3% programming error. The
+// error streams are reseeded to the same point before every Apply, so
+// each op makes the same draws; the preset does not size this workload.
+func setupEngineApplyInject(p Preset) (*Instance, error) {
+	spec := matgen.Spec{Name: "mc_spd_96", Rows: 96, NNZ: 96 * 13, SPD: true, Class: matgen.Banded,
+		Band: 96, ExpSpread: 1, Seed: 4242, DiagMargin: 2}
+	sub := blocking.Substrate{Sizes: []int{512}, MaxPad: core.MaxPadBits, Threshold: func(int) int { return 64 }}
+	plan, err := blocking.Preprocess(spec.Generate(), sub)
+	if err != nil {
+		return nil, err
+	}
+	cfg := clusterConfig(p)
+	cfg.InjectErrors = true
+	cfg.Device.ProgError = 0.03
+	eng, err := accel.NewEngine(plan, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	eng.Parallelism = 1
+	xrng := rand.New(rand.NewSource(4))
+	x := make([]float64, eng.Cols())
+	for i := range x {
+		x[i] = xrng.NormFloat64()
+	}
+	y := make([]float64, eng.Rows())
+	return &Instance{
+		Run: func() error {
+			eng.ReseedErrors(0, 0)
+			eng.Apply(y, x)
+			return nil
+		},
+		BeforeTimed: func() { eng.TakeStats() },
+		Metrics: func(total time.Duration) map[string]float64 {
+			s := eng.TakeStats()
+			return map[string]float64{
+				"clusters":                float64(eng.Clusters()),
+				"adc_conversions_per_sec": float64(s.Conversions) * perSec(1, total),
 			}
 		},
 	}, nil

@@ -108,9 +108,14 @@ type packedPlanes struct {
 	// orWords[(i·nW + w)·nPlanes + t].
 	orWords []uint64
 
-	// inverted caches the per-(row, plane) CIC flags:
-	// inverted[i·nPlanes+t].
+	// inverted caches the per-(row, plane) CIC flags,
+	// inverted[i·nPlanes+t]; nil when CIC inverted no column.
 	inverted []bool
+
+	// gains holds the static D2D column gains, gains[i·nPlanes+t]; nil
+	// when the device model samples none, which spares the conversion
+	// loop a multiply per plane.
+	gains []float64
 }
 
 // buildConvBits tabulates convBits from the stored-level sums when ADC
@@ -138,7 +143,7 @@ func (c *Cluster) buildConvBits() {
 
 // laneMirror interleaves the planes' level-bit words into the lane
 // mirror of an injected cluster, with the per-plane active-cell OR words
-// for multi-bit cells and the CIC flags.
+// for multi-bit cells, the CIC flags and the D2D gains.
 func (c *Cluster) laneMirror() *packedPlanes {
 	b := c.block
 	B, nP := c.planeBits, c.nPlanes
@@ -148,9 +153,17 @@ func (c *Cluster) laneMirror() *packedPlanes {
 	}
 	pk.words = make([]uint64, b.M*pk.nW*pk.lanes)
 	pk.inverted = make([]bool, b.M*nP)
+	anyInverted := false
+	if c.cfg.Device.Faults.D2DSigma > 0 {
+		pk.gains = make([]float64, b.M*nP)
+	}
 	for i := 0; i < b.M; i++ {
 		for t := 0; t < nP; t++ {
 			pk.inverted[i*nP+t] = c.planes[t].Inverted(i)
+			anyInverted = anyInverted || pk.inverted[i*nP+t]
+			if pk.gains != nil {
+				pk.gains[i*nP+t] = c.planes[t].ColumnGain(i)
+			}
 			for lb := 0; lb < B; lb++ {
 				cw := c.planes[t].ColumnWords(lb, i)
 				lane := t*B + lb
@@ -159,6 +172,9 @@ func (c *Cluster) laneMirror() *packedPlanes {
 				}
 			}
 		}
+	}
+	if !anyInverted {
+		pk.inverted = nil
 	}
 	if B > 1 {
 		pk.orWords = make([]uint64, b.M*pk.nW*nP)
@@ -353,40 +369,38 @@ func (c *Cluster) countOrLanes(i int, xw []uint64) {
 }
 
 // planeCounts converts the lane counts of row i into final per-plane
-// CIC-decoded counts, optionally routing each plane's stored count
-// through the device-error model in ascending plane order — the exact
-// draw order of the reference per-plane Column walk.
+// CIC-decoded counts in one device pass over the planes
+// (device.Array.ConvertPlanes), which draws in ascending plane order —
+// the exact draw order of the reference per-plane Column walk. Multi-bit
+// cells first fold each plane's level-bit lanes into its stored-form
+// count and take the active-cell counts the error model needs; single-bit
+// lane counts are the stored-form counts and their own active-cell
+// counts.
 func (c *Cluster) planeCounts(i, popX int, xw []uint64) {
 	ar := &c.arena
 	pk := c.packed
 	B, nP := c.planeBits, c.nPlanes
-	inv := pk.inverted[i*nP : (i+1)*nP]
-	cnts, pcnts := ar.cnts, ar.pcnts
-	if c.arr != nil && B > 1 {
+	stored, on := ar.cnts, []int(nil)
+	if B > 1 {
+		for t := range ar.pcnts {
+			cv := ar.cnts[t*B]
+			for lb := 1; lb < B; lb++ {
+				cv += ar.cnts[t*B+lb] << lb
+			}
+			ar.pcnts[t] = cv
+		}
 		c.countOrLanes(i, xw)
+		stored, on = ar.pcnts, ar.orCnts
 	}
-	for t := 0; t < nP; t++ {
-		cv := cnts[t*B]
-		for lb := 1; lb < B; lb++ {
-			cv += cnts[t*B+lb] << lb
-		}
-		if c.arr != nil {
-			on := cv
-			if B > 1 {
-				on = ar.orCnts[t]
-			}
-			cv = c.arr.PerturbCountVar(cv, on, popX-on, c.planes[t].ColumnGain(i))
-		}
-		if inv[t] {
-			// CIC decoding: true = popX − stored-form count; a noisy
-			// observation cannot exceed the CIC bound.
-			cv = popX - cv
-			if cv < 0 {
-				cv = 0
-			}
-		}
-		pcnts[t] = cv
+	var inv []bool
+	if pk.inverted != nil {
+		inv = pk.inverted[i*nP : (i+1)*nP]
 	}
+	var gains []float64
+	if pk.gains != nil {
+		gains = pk.gains[i*nP : (i+1)*nP]
+	}
+	c.arr.ConvertPlanes(ar.pcnts, stored, on, popX, inv, gains)
 }
 
 // reduce64 folds the per-plane counts into the single-word reduction
@@ -402,25 +416,22 @@ func (c *Cluster) reduce64() uint64 {
 }
 
 // reduce128 is reduce64 in a 128-bit (hi, lo) pair for clusters whose
-// reduction bound needs up to two words.
+// reduction bound needs up to two words. The planes below bit 64 add
+// into lo with carry and spill their top bits into hi (a shift by 64 is
+// zero in Go, so plane 0 spills nothing); the rest add into hi alone.
+// Neither loop branches on the counts.
 func (c *Cluster) reduce128() (hi, lo uint64) {
-	B := c.planeBits
-	for t, cv := range c.arena.pcnts {
-		if cv == 0 {
-			continue
-		}
-		s := uint(t * B)
-		if s < 64 {
-			var carry uint64
-			lo, carry = bits.Add64(lo, uint64(cv)<<s, 0)
-			var hiAdd uint64
-			if s > 0 {
-				hiAdd = uint64(cv) >> (64 - s)
-			}
-			hi += hiAdd + carry
-		} else {
-			hi += uint64(cv) << (s - 64)
-		}
+	B := uint(c.planeBits)
+	pc := c.arena.pcnts
+	low := min(len(pc), int((64+B-1)/B)) // planes with t·B < 64
+	for t, cv := range pc[:low] {
+		s := uint(t) * B
+		var carry uint64
+		lo, carry = bits.Add64(lo, uint64(cv)<<s, 0)
+		hi += uint64(cv)>>(64-s) + carry
+	}
+	for t := low; t < len(pc); t++ {
+		hi += uint64(pc[t]) << (uint(t)*B - 64)
 	}
 	return hi, lo
 }

@@ -9,7 +9,6 @@ package device
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Params describes a memristive cell technology and its use in an array.
@@ -106,10 +105,11 @@ func (p Params) Ideal() bool {
 // full-on cell conducts (1 + leak)(1+ε) ≈ 1+ε. The ADC quantizes the
 // column total to the nearest integer step.
 type Array struct {
-	p   Params
-	src rand.Source
-	rng *rand.Rand
-	// Per-conversion constants of PerturbCountVar, computed once from p
+	p Params
+	// s is the error stream: math/rand's NormFloat64 sequence at the
+	// array's seed, replayed in-package (stream.go).
+	s stream
+	// Per-conversion constants of ConvertPlanes, computed once from p
 	// with the same float expressions: unitLeak = (levels−1)/DynamicRange
 	// leakage units per off cell, progUnit = ProgError·(levels−1) unit
 	// steps of programming noise per on cell, and levelMax = levels−1.
@@ -128,10 +128,9 @@ type Array struct {
 
 // NewArray creates an error sampler with a deterministic seed.
 func NewArray(p Params, seed int64) *Array {
-	src := rand.NewSource(seed)
 	leak := 1.0 / p.DynamicRange
 	return &Array{
-		p: p, src: src, rng: rand.New(src), drift: 1,
+		p: p, s: newStream(seed), drift: 1,
 		// A level-L cell conducts L unit steps; with B bits per cell a
 		// unit is 1/(levels-1) of the on/off window, so the relative
 		// leakage per off cell is (levels-1)·leak units.
@@ -149,7 +148,7 @@ func (a *Array) Params() Params { return a.p }
 // per-RHS derived seed so the error draws each right-hand side sees are
 // a pure function of its index, independent of worker count or
 // scheduling.
-func (a *Array) Reseed(seed int64) { a.src.Seed(seed) }
+func (a *Array) Reseed(seed int64) { a.s.seed(seed) }
 
 // SetTime positions the array at t seconds after its last programming:
 // the retention-drift factor applied to every active column current is
@@ -191,55 +190,119 @@ func (a *Array) PerturbCount(onSum, onCells, offCells int) int {
 
 // PerturbCountVar is PerturbCount with a static per-column conductance
 // gain (the lognormal D2D variation sampled at programming time; 1 when
-// variation is disabled). The retention-drift factor set by SetTime and
-// the per-read C2C fluctuation also scale the active current here, so
-// the full analog observation is
+// variation is disabled): ConvertPlanes on a single plane without CIC,
+// returning the observed count.
+func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int {
+	out, sum, on, g := [1]int{}, [1]int{onSum}, [1]int{onCells}, [1]float64{gain}
+	a.ConvertPlanes(out[:], sum[:], on[:], onCells+offCells, nil, g[:])
+	return out[0]
+}
+
+// ConvertPlanes converts the ideal column sums of one output column in
+// every plane, for one applied slice, into the counts the ADC reports,
+// drawing in ascending plane order. For plane t:
+//
+//	onSum[t]    — Σ of active stored levels (the stored-form count)
+//	onCells[t]  — active cells at nonzero level; nil when onCells = onSum
+//	              (single-bit cells)
+//	popX        — active cells per column, so offCells = popX − onCells
+//	inverted[t] — CIC flag, or nil: an inverted column's count decodes to
+//	              popX − observed, floored at 0 (§V-B2)
+//	gains[t]    — static D2D gain, or nil for unit gains
+//
+// out[t] receives the decoded count; out may alias onSum. The retention
+// drift set by SetTime and the per-read C2C fluctuation also scale the
+// active current, so the full analog observation is
 //
 //	gain·drift·(1 + c2c·N(0,1))·onSum + leak shift + programming noise
 //
 // with every fault knob at its zero value reducing, draw for draw and
-// operation for operation, to the original two-source model.
-func (a *Array) PerturbCountVar(onSum, onCells, offCells int, gain float64) int {
-	p := &a.p
-	nominal := a.unitLeak * float64(offCells)
-	// The nominal leakage offset is a known digital function of the
-	// applied slice's popcount and the column's stored weight, so the
-	// conversion pipeline calibrates it out; what remains is the
-	// per-read fluctuation of the aggregate HRS current.
-	shift := 0.0
-	if p.LeakFluctuation > 0 && nominal > 0 {
-		shift = nominal * p.LeakFluctuation * a.rng.NormFloat64()
+// operation for operation, to the original two-source model. Each plane
+// draws leak, then C2C, then programming noise, each only when its
+// source is on and has cells to act on. The device's switches are read
+// once, before the loop, and the Gaussians the pass may need are
+// sampled before it starts, so the loop makes no call.
+func (a *Array) ConvertPlanes(out, onSum, onCells []int, popX int, inverted []bool, gains []float64) {
+	s := &a.s
+	leakFl, c2c, drift := a.p.LeakFluctuation, a.p.Faults.C2CSigma, a.drift
+	leak, prog := leakFl > 0, a.p.ProgError > 0
+	unitLeak, progUnit := a.unitLeak, a.progUnit
+	maxQ := popX * a.levelMax
+	out = out[:len(onSum)]
+	draws := 0 // the most Gaussians one plane takes
+	if leak {
+		draws++
 	}
-	on := float64(onSum)
-	if gain != 1 {
-		on *= gain
+	if c2c > 0 {
+		draws++
 	}
-	if a.drift != 1 {
-		on *= a.drift
+	if prog {
+		draws++
 	}
-	if p.Faults.C2CSigma > 0 && onSum != 0 {
-		on *= 1 + p.Faults.C2CSigma*a.rng.NormFloat64()
+	g, k := s.ahead(draws*len(onSum)), 0
+	for t, sum := range onSum {
+		on := sum
+		if onCells != nil {
+			on = onCells[t]
+		}
+		nominal := unitLeak * float64(popX-on)
+		// The nominal leakage offset is a known digital function of the
+		// applied slice's popcount and the column's stored weight, so the
+		// conversion pipeline calibrates it out; what remains is the
+		// per-read fluctuation of the aggregate HRS current.
+		shift := 0.0
+		if leak {
+			// Computed whether or not the plane draws: with no off
+			// cells nominal is 0, so shift is ±0 and adds nothing, and
+			// k stays put. No draw takes a data-dependent branch.
+			shift = nominal * leakFl * g[k]
+			k += b2i(nominal > 0)
+		}
+		v := float64(sum)
+		if gains != nil {
+			v *= gains[t]
+		}
+		if drift != 1 {
+			v *= drift
+		}
+		if c2c > 0 && sum != 0 {
+			v *= 1 + c2c*g[k]
+			k++
+		}
+		analog := v + shift
+		if prog {
+			// As for the leak draw: with no on cells sigma is 0.
+			sigma := progUnit * math.Sqrt(float64(on))
+			analog += g[k] * sigma
+			k += b2i(on > 0)
+		}
+		q := int(math.RoundToEven(analog))
+		clamped := false
+		if q < 0 {
+			q = 0
+			clamped = true
+		}
+		if q > maxQ {
+			q = maxQ
+			clamped = true
+		}
+		if clamped {
+			a.clamps++
+		}
+		if inverted != nil && inverted[t] {
+			// A noisy observation cannot exceed the CIC bound.
+			q = max(popX-q, 0)
+		}
+		out[t] = q
 	}
-	analog := on + shift
-	if p.ProgError > 0 && onCells > 0 {
-		sigma := a.progUnit * math.Sqrt(float64(onCells))
-		analog += a.rng.NormFloat64() * sigma
+	s.consume(k)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	q := int(math.RoundToEven(analog))
-	clamped := false
-	if q < 0 {
-		q = 0
-		clamped = true
-	}
-	max := (onCells + offCells) * a.levelMax
-	if q > max {
-		q = max
-		clamped = true
-	}
-	if clamped {
-		a.clamps++
-	}
-	return q
+	return 0
 }
 
 // ColumnErrorProbability estimates the probability that a column readout

@@ -46,16 +46,32 @@ func (g *Gauge) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.Value())
 }
 
-// funcMetric renders a value computed at scrape time — used to expose
-// counters owned by another subsystem (the engine cache) without copying
-// them into the registry on every update.
-type funcMetric struct {
-	name, help, typ string
-	f               func() int64
+// FuncSpec names one metric of a FuncGroup.
+type FuncSpec struct {
+	Name, Help string
+	// Counter renders the metric as a counter; otherwise it is a gauge.
+	Counter bool
 }
 
-func (m *funcMetric) write(w io.Writer) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", m.name, m.help, m.name, m.typ, m.name, m.f())
+// funcGroup renders values computed at scrape time — used to expose
+// counters owned by another subsystem (the engine cache, the job store,
+// the runtime) without copying them into the registry on every update —
+// read together by one call of f.
+type funcGroup struct {
+	specs []FuncSpec
+	f     func(dst []int64)
+}
+
+func (g *funcGroup) write(w io.Writer) {
+	vals := make([]int64, len(g.specs))
+	g.f(vals)
+	for i, sp := range g.specs {
+		typ := "gauge"
+		if sp.Counter {
+			typ = "counter"
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", sp.Name, sp.Help, sp.Name, typ, sp.Name, vals[i])
+	}
 }
 
 // Label is one constant name="value" pair on an info metric.
@@ -98,52 +114,73 @@ func NewRegistry() *Registry {
 	return &Registry{names: map[string]bool{}}
 }
 
-func (r *Registry) register(name string, m metric) {
+// register adds m, which renders the named metrics; every name must be
+// new to the registry.
+func (r *Registry) register(m metric, names ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.names[name] {
-		panic(fmt.Sprintf("obs: duplicate metric %q", name))
+	for _, name := range names {
+		if r.names[name] {
+			panic(fmt.Sprintf("obs: duplicate metric %q", name))
+		}
 	}
-	r.names[name] = true
+	for _, name := range names {
+		r.names[name] = true
+	}
 	r.metrics = append(r.metrics, m)
 }
 
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{name: name, help: help}
-	r.register(name, c)
+	r.register(c, name)
 	return c
 }
 
 // Gauge registers and returns a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{name: name, help: help}
-	r.register(name, g)
+	r.register(g, name)
 	return g
 }
 
 // CounterFunc registers a counter whose value is read from f at scrape
 // time.
 func (r *Registry) CounterFunc(name, help string, f func() int64) {
-	r.register(name, &funcMetric{name: name, help: help, typ: "counter", f: f})
+	r.FuncGroup([]FuncSpec{{Name: name, Help: help, Counter: true}}, func(dst []int64) { dst[0] = f() })
 }
 
 // GaugeFunc registers a gauge whose value is read from f at scrape time.
 func (r *Registry) GaugeFunc(name, help string, f func() int64) {
-	r.register(name, &funcMetric{name: name, help: help, typ: "gauge", f: f})
+	r.FuncGroup([]FuncSpec{{Name: name, Help: help}}, func(dst []int64) { dst[0] = f() })
+}
+
+// FuncGroup registers metrics read at scrape time from one call of f,
+// which fills dst[i] for specs[i]. They render consecutively, in the
+// given order, exactly as the same metrics registered one by one with
+// CounterFunc or GaugeFunc would; a group serves values that are costly
+// to read separately (one lock pass or one stop-the-world read serves
+// them all).
+func (r *Registry) FuncGroup(specs []FuncSpec, f func(dst []int64)) {
+	specs = append([]FuncSpec(nil), specs...)
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
+	}
+	r.register(&funcGroup{specs: specs, f: f}, names...)
 }
 
 // Info registers a constant info-style gauge: value 1, identity in the
 // labels (e.g. memserve_build_info{version=...,go_version=...} 1).
 func (r *Registry) Info(name, help string, labels ...Label) {
-	r.register(name, &infoMetric{name: name, help: help, labels: append([]Label(nil), labels...)})
+	r.register(&infoMetric{name: name, help: help, labels: append([]Label(nil), labels...)}, name)
 }
 
 // Histogram registers and returns a histogram over the given ascending
 // upper bounds (an implicit +Inf bucket is always appended).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	h := NewHistogram(name, help, bounds)
-	r.register(name, h)
+	r.register(h, name)
 	return h
 }
 

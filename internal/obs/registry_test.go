@@ -69,3 +69,41 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	}()
 	reg.Gauge("dup", "")
 }
+
+// TestRegistryFuncGroup checks that a FuncGroup renders byte for byte as
+// the same metrics registered one by one, reads its values with one call
+// per scrape, and refuses a name already taken.
+func TestRegistryFuncGroup(t *testing.T) {
+	vals := []int64{3, 5, 8}
+	one := NewRegistry()
+	one.CounterFunc("a_total", "A.", func() int64 { return vals[0] })
+	one.GaugeFunc("b", "B.", func() int64 { return vals[1] })
+	one.CounterFunc("c_total", "C.", func() int64 { return vals[2] })
+
+	grouped := NewRegistry()
+	calls := 0
+	grouped.FuncGroup([]FuncSpec{
+		{Name: "a_total", Help: "A.", Counter: true},
+		{Name: "b", Help: "B."},
+		{Name: "c_total", Help: "C.", Counter: true},
+	}, func(dst []int64) {
+		calls++
+		copy(dst, vals)
+	})
+	var want, got strings.Builder
+	one.WritePrometheus(&want)
+	grouped.WritePrometheus(&got)
+	if got.String() != want.String() {
+		t.Fatalf("group renders\n%s\nwant\n%s", got.String(), want.String())
+	}
+	if calls != 1 {
+		t.Fatalf("one scrape read the group %d times, want 1", calls)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FuncGroup accepted a duplicate name")
+		}
+	}()
+	grouped.GaugeFunc("d", "D.", func() int64 { return 0 })
+	grouped.FuncGroup([]FuncSpec{{Name: "d", Help: "D."}}, func([]int64) {})
+}

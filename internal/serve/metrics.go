@@ -134,25 +134,37 @@ func newMetrics(cache *Cache) *Metrics {
 
 // registerClusterFuncs registers scrape-time gauges over the server's
 // admission and job state. Separate from newMetrics because the queue
-// and store hang off the Server, which needs the Metrics first.
-func (m *Metrics) registerClusterFuncs(s *Server) {
+// and store hang off the Server, which needs the Metrics first. The
+// per-state job gauges share one jobCounts call per scrape: a call
+// sweeps the store and takes every resident job's lock under the store
+// mutex.
+func (m *Metrics) registerClusterFuncs(queueLen func() int, jobCounts func() map[jobs.State]int) {
 	m.reg.GaugeFunc("memserve_queue_depth", "Async jobs waiting for a worker.",
-		func() int64 { return int64(s.queue.Len()) })
-	for _, st := range []jobs.State{
+		func() int64 { return int64(queueLen()) })
+	states := []jobs.State{
 		jobs.StateQueued, jobs.StateRunning, jobs.StateDone,
 		jobs.StateFailed, jobs.StateTimeout, jobs.StateShed,
-	} {
-		m.reg.GaugeFunc("memserve_jobs_"+string(st), "Resident async jobs in state "+string(st)+".",
-			func() int64 { return int64(s.store.Counts()[st]) })
 	}
+	specs := make([]obs.FuncSpec, len(states))
+	for i, st := range states {
+		specs[i] = obs.FuncSpec{Name: "memserve_jobs_" + string(st), Help: "Resident async jobs in state " + string(st) + "."}
+	}
+	m.reg.FuncGroup(specs, func(dst []int64) {
+		counts := jobCounts()
+		for i, st := range states {
+			dst[i] = int64(counts[st])
+		}
+	})
 }
 
 // registerRuntimeFuncs registers build/runtime self-metrics: a
 // memserve_build_info info gauge (module version and Go toolchain from
 // the embedded build info), plus scrape-time goroutine, GC, and heap
 // gauges read from the runtime — the "is this process healthy" floor
-// every node exports before any request arrives.
-func (m *Metrics) registerRuntimeFuncs() {
+// every node exports before any request arrives. The GC and heap
+// series share one readMemStats call per scrape, since
+// runtime.ReadMemStats stops the world.
+func (m *Metrics) registerRuntimeFuncs(readMemStats func(*runtime.MemStats)) {
 	version := "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
 		version = bi.Main.Version
@@ -162,24 +174,15 @@ func (m *Metrics) registerRuntimeFuncs() {
 		obs.Label{Name: "go_version", Value: runtime.Version()})
 	m.reg.GaugeFunc("memserve_goroutines", "Live goroutines.",
 		func() int64 { return int64(runtime.NumGoroutine()) })
-	m.reg.CounterFunc("memserve_gc_runs_total", "Completed GC cycles.",
-		func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.NumGC)
-		})
-	m.reg.CounterFunc("memserve_gc_pause_nanoseconds_total", "Cumulative GC stop-the-world pause time.",
-		func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.PauseTotalNs)
-		})
-	m.reg.GaugeFunc("memserve_heap_alloc_bytes", "Bytes of allocated heap objects.",
-		func() int64 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			return int64(ms.HeapAlloc)
-		})
+	m.reg.FuncGroup([]obs.FuncSpec{
+		{Name: "memserve_gc_runs_total", Help: "Completed GC cycles.", Counter: true},
+		{Name: "memserve_gc_pause_nanoseconds_total", Help: "Cumulative GC stop-the-world pause time.", Counter: true},
+		{Name: "memserve_heap_alloc_bytes", Help: "Bytes of allocated heap objects."},
+	}, func(dst []int64) {
+		var ms runtime.MemStats
+		readMemStats(&ms)
+		dst[0], dst[1], dst[2] = int64(ms.NumGC), int64(ms.PauseTotalNs), int64(ms.HeapAlloc)
+	})
 }
 
 // noteRefresh folds one solve's refresh-stats delta into the counters.

@@ -267,8 +267,8 @@ func New(cfg Config) *Server {
 	}
 
 	s.metrics = newMetrics(s.cache)
-	s.metrics.registerClusterFuncs(s)
-	s.metrics.registerRuntimeFuncs()
+	s.metrics.registerClusterFuncs(s.queue.Len, s.store.Counts)
+	s.metrics.registerRuntimeFuncs(runtime.ReadMemStats)
 	s.fedClient = &http.Client{Timeout: federationTimeout}
 	s.traces = obs.NewTraceRing(cfg.TraceRingSize)
 	s.mux = http.NewServeMux()
