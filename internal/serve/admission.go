@@ -26,11 +26,15 @@ const (
 	retryAfterHeaderName = "Retry-After"
 )
 
-// queuedJob is one admitted async solve waiting for a worker. span is
-// the job's root span (nil with tracing off); the worker charges the
-// submit→dequeue wait to a "queue" child at dequeue time.
+// queuedJob is one admitted async solve waiting for a worker, and the
+// unit execute runs: handleSolve passes a synchronous solve in the same
+// form, with no job. id names the solve in its response, trace and log
+// line — the job ID, or a sync solve's request ID. span is the root span
+// (nil with tracing off); the worker charges a job's submit→dequeue wait
+// to a "queue" child at dequeue time.
 type queuedJob struct {
 	job      *jobs.Job
+	id       string
 	spec     *solveSpec
 	enqueued time.Time
 	span     *obs.Span

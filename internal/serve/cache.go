@@ -71,7 +71,9 @@ const (
 // CacheConfig sizes an engine cache.
 type CacheConfig struct {
 	// MaxClusters bounds the total programmed clusters held across all
-	// cached entries; least-recently-used entries are evicted past it
+	// cached entries, whatever configuration each was programmed with —
+	// a server's direct and refine engines share it, as they share the
+	// chip; least-recently-used entries are evicted past it
 	// (≤0 = DefaultMaxClusters). A single entry larger than the bound
 	// is still admitted as the sole resident.
 	MaxClusters int
@@ -86,9 +88,13 @@ type CacheConfig struct {
 	EngineParallelism int
 }
 
-// Cache is a content-addressed store of programmed engines. All methods
-// are safe for concurrent use.
+// Cache is a content-addressed store of programmed engines. It may hold
+// engines of several cluster configurations (a server's direct and
+// refine engines): each entry is programmed with the configuration its
+// key was computed from, and all of them share one cluster budget. All
+// methods are safe for concurrent use.
 type Cache struct {
+	// ccfg is the configuration Acquire fingerprints and programs with.
 	ccfg core.ClusterConfig
 	seed int64
 	// refresh, when non-nil, is armed on every programmed engine; forks
@@ -113,8 +119,8 @@ type Cache struct {
 	forks        atomic.Int64
 }
 
-// NewCache returns an empty cache programming engines with the given
-// cluster configuration and seed base.
+// NewCache returns an empty cache whose Acquire programs engines with
+// the given cluster configuration and seed base.
 func NewCache(cfg CacheConfig, ccfg core.ClusterConfig, seed int64) *Cache {
 	if cfg.MaxClusters <= 0 {
 		cfg.MaxClusters = DefaultMaxClusters
@@ -185,8 +191,14 @@ func (l *Lease) Release() {
 // then lease from the resulting pool. The context bounds both the wait
 // for an in-progress programming and the wait for a free pool engine.
 func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
-	key := Fingerprint(m, c.ccfg, c.seed)
+	return c.acquire(ctx, Fingerprint(m, c.ccfg, c.seed), c.ccfg, m)
+}
 
+// acquire is Acquire for a matrix its caller already fingerprinted: key
+// must be Fingerprint(m, ccfg, seed) with this cache's seed, and a miss
+// programs m with ccfg. The key hashes the configuration, so entries of
+// different configurations never collide.
+func (c *Cache) acquire(ctx context.Context, key string, ccfg core.ClusterConfig, m *sparse.CSR) (*Lease, error) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
@@ -213,7 +225,7 @@ func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
 	c.misses.Add(1)
 	c.mu.Unlock()
 
-	ent, err := c.program(key, m)
+	ent, err := c.program(key, ccfg, m)
 	fl.ent, fl.err = ent, err
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -232,12 +244,12 @@ func (c *Cache) Acquire(ctx context.Context, m *sparse.CSR) (*Lease, error) {
 
 // program preprocesses and programs a matrix into a fresh entry. This is
 // the only place cluster programming happens; pool growth uses forks.
-func (c *Cache) program(key string, m *sparse.CSR) (*entry, error) {
+func (c *Cache) program(key string, ccfg core.ClusterConfig, m *sparse.CSR) (*entry, error) {
 	plan, err := blocking.Preprocess(m, blocking.DefaultSubstrate())
 	if err != nil {
 		return nil, fmt.Errorf("serve: preprocess: %w", err)
 	}
-	eng, err := accel.NewEngine(plan, c.ccfg, c.seed)
+	eng, err := accel.NewEngine(plan, ccfg, c.seed)
 	if err != nil {
 		return nil, fmt.Errorf("serve: program: %w", err)
 	}

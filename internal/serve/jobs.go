@@ -10,7 +10,6 @@ import (
 
 	"memsci/internal/jobs"
 	"memsci/internal/obs"
-	"memsci/internal/solver"
 )
 
 // JobSubmitResponse is the POST /v1/jobs result: the job handle plus the
@@ -87,7 +86,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	root.SetAttr("job", job.ID)
 	s.startWorkers()
 	s.jobsWG.Add(1)
-	item := &queuedJob{job: job, spec: spec, enqueued: time.Now(), span: root}
+	item := &queuedJob{job: job, id: job.ID, spec: spec, enqueued: time.Now(), span: root}
 	if !s.queue.Push(item) {
 		s.jobsWG.Done()
 		job.Finish(jobs.StateShed, nil, "job queue full at submission")
@@ -209,9 +208,6 @@ func (s *Server) Close() {
 // for them before shutting the listener down.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // DrainJobs blocks until every admitted job reaches a terminal state or
 // ctx expires (the shutdown grace period).
 func (s *Server) DrainJobs(ctx context.Context) error {
@@ -246,8 +242,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runQueued executes one dequeued job, first coalescing compatible
-// queued jobs into a multi-RHS batch. Exactly one jobsWG.Done fires per
-// admitted job, whatever path it takes.
+// queued jobs into a multi-RHS batch, then hands the batch to execute.
+// Exactly one jobsWG.Done fires per admitted job, whatever path it takes.
 func (s *Server) runQueued(ctx context.Context, item *queuedJob) {
 	batch := []*queuedJob{item}
 	if s.cfg.BatchMax > 1 && batchable(item.spec) {
@@ -295,39 +291,45 @@ func (s *Server) runQueued(ctx context.Context, item *queuedJob) {
 	}
 	defer func() { <-s.sem }()
 
-	if len(runnable) == 1 {
-		s.runJob(ctx, runnable[0])
+	started := runnable[:0]
+	for _, it := range runnable {
+		if it.job.Start() {
+			started = append(started, it)
+		}
+	}
+	if len(started) == 0 {
 		return
 	}
-	s.runBatch(ctx, runnable)
-}
+	// A panicking solve (a diverging job can hand the crossbar pipeline
+	// non-finite vectors, which it rejects by panicking) fails its jobs
+	// instead of killing the worker.
+	defer func() {
+		if p := recover(); p != nil {
+			s.logger.Error("job panic", "job", started[0].id, "jobs", len(started), "panic", fmt.Sprint(p))
+			for _, it := range started {
+				it.job.Finish(jobs.StateFailed, nil, fmt.Sprintf("internal: %v", p))
+			}
+		}
+	}()
 
-// runJob executes a single async solve, bridging the solver monitor into
-// the job's SSE event log.
-func (s *Server) runJob(ctx context.Context, item *queuedJob) {
-	job := item.job
-	if !job.Start() {
-		return
-	}
-	defer s.recoverJob(job)
-	execCtx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(&item.spec.req))
+	execCtx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(&started[0].spec.req))
 	defer cancel()
-	bridge := func(iter int, rn float64) {
-		job.Events.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
+	resps, err := s.execute(execCtx, started)
+	for i, it := range started {
+		it.span.End()
+		if resps[i] != nil {
+			resps[i].Span = it.span
+		}
+		s.finishJob(it.job, resps[i], err)
 	}
-	resp, err := s.executeSolve(execCtx, item.spec, job.ID, bridge, item.span)
-	item.span.End()
-	if resp != nil {
-		resp.Span = item.span
-	}
-	s.finishJob(job, resp, err)
 }
 
-// finishJob maps an execution outcome onto the job state machine. A
-// done job keeps its response with the span tree frozen.
+// finishJob maps an execution outcome onto the job state machine: a
+// response makes the job done, with its span tree frozen; otherwise err
+// decides between timeout and failed.
 func (s *Server) finishJob(job *jobs.Job, resp *SolveResponse, err error) {
 	switch {
-	case err == nil:
+	case resp != nil:
 		done := &finishedResponse{SolveResponse: resp, Span: resp.Span.Freeze()}
 		resp.Span = nil
 		job.Finish(jobs.StateDone, done, "")
@@ -345,16 +347,6 @@ func (s *Server) finishJob(job *jobs.Job, resp *SolveResponse, err error) {
 type finishedResponse struct {
 	*SolveResponse
 	Span *obs.FrozenSpan `json:"span,omitempty"`
-}
-
-// recoverJob converts a panicking solve (a diverging job can hand the
-// crossbar pipeline non-finite vectors, which it rejects by panicking)
-// into a failed job instead of a dead worker.
-func (s *Server) recoverJob(job *jobs.Job) {
-	if p := recover(); p != nil {
-		s.logger.Error("job panic", "job", job.ID, "panic", fmt.Sprint(p))
-		job.Finish(jobs.StateFailed, nil, fmt.Sprintf("internal: %v", p))
-	}
 }
 
 // batchable: only direct accel CG jobs without a trace request coalesce —
@@ -375,147 +367,4 @@ func compatible(a, b *solveSpec) bool {
 		a.req.MaxIter == b.req.MaxIter &&
 		a.req.Jacobi == b.req.Jacobi &&
 		a.req.TimeoutMS == b.req.TimeoutMS
-}
-
-// runBatch executes coalesced jobs against one leased engine via the
-// lockstep CGBatch driver: the queue converts concurrent demand for the
-// same matrix into multi-RHS ApplyBatch work instead of serialized
-// solves. Per-iteration events still flow to each job's own SSE stream;
-// the engine's hardware-counter window covers the whole batch and is
-// attached to each job's result with the batch size marked, so the
-// attribution is explicit.
-func (s *Server) runBatch(ctx context.Context, batch []*queuedJob) {
-	started := batch[:0]
-	for _, it := range batch {
-		if it.job.Start() {
-			started = append(started, it)
-		}
-	}
-	if len(started) == 0 {
-		return
-	}
-	first := started[0]
-	spec := first.spec
-	failAll := func(err error) {
-		for _, it := range started {
-			s.finishJob(it.job, nil, err)
-		}
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			s.logger.Error("batch panic", "panic", fmt.Sprint(p))
-			failAll(fmt.Errorf("internal: %v", p))
-		}
-	}()
-
-	execCtx, cancel := context.WithTimeout(ctx, s.effectiveTimeout(&spec.req))
-	defer cancel()
-
-	progStart := time.Now()
-	lease, err := s.cache.Acquire(execCtx, spec.m)
-	if err != nil {
-		failAll(err)
-		return
-	}
-	defer lease.Release()
-	lease.Engine.TakeStats()
-	s.metrics.programSeconds.Observe(time.Since(progStart).Seconds())
-	programMS := msSince(progStart)
-	// One engine acquisition serves the whole batch, but each job's trace
-	// gets its own program span over the shared interval — every tree is
-	// self-contained.
-	for _, it := range started {
-		progSp := it.span.StartChildAt("program", progStart)
-		progSp.SetAttr("cache_hit", fmt.Sprint(lease.Hit))
-		progSp.End()
-	}
-
-	opt := solver.Options{Tol: spec.req.Tol, MaxIter: spec.req.MaxIter, Ctx: execCtx}
-	if opt.Tol == 0 {
-		opt.Tol = 1e-8
-	}
-	if spec.req.Jacobi {
-		opt.Diag = spec.m.Diagonal()
-	}
-	bs := make([][]float64, len(started))
-	monitors := make([]solver.Monitor, len(started))
-	for i, it := range started {
-		bs[i] = it.spec.b
-		log := it.job.Events
-		monitors[i] = func(iter int, rn float64) {
-			log.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
-		}
-	}
-
-	solveStart := time.Now()
-	solveSps := make([]*obs.Span, len(started))
-	for i, it := range started {
-		solveSps[i] = it.span.StartChildAt("solve", solveStart)
-		solveSps[i].SetAttr("method", spec.method)
-	}
-	results, err := solver.CGBatch(lease.Engine, bs, opt, monitors)
-	solveSecs := time.Since(solveStart).Seconds()
-	s.metrics.batches.Inc()
-	s.metrics.batchedJobs.Add(int64(len(started)))
-	s.metrics.batchSize.Observe(float64(len(started)))
-
-	st := lease.Engine.TakeStats()
-	timedOut := err != nil && errors.Is(err, context.DeadlineExceeded)
-	if timedOut {
-		s.metrics.timeouts.Add(int64(len(started)))
-	}
-	if rs := lease.Engine.TakeRefreshStats(); rs.Refreshes > 0 {
-		s.metrics.noteRefresh(rs)
-	}
-	for i, it := range started {
-		res := results[i]
-		s.metrics.solveSeconds.ObserveExemplar(solveSecs, it.span.Context().TraceID)
-		s.metrics.solves.Inc()
-		// The engine's hardware window covers the whole lockstep batch;
-		// each job's solve span carries it with batch_size marked, the
-		// same explicit attribution the response makes.
-		solveSps[i].End()
-		solveSps[i].SetHW(st.HWCounters())
-		solveSps[i].SetAttr("batch_size", fmt.Sprint(len(started)))
-		it.span.End()
-		// Lockstep systems share the context: on cancellation, systems
-		// that already converged still report their result.
-		if err != nil && (res == nil || !res.Converged) {
-			s.finishJob(it.job, nil, err)
-			continue
-		}
-		s.metrics.iterations.Observe(float64(res.Iterations))
-		resp := s.buildBatchResponse(it.spec, res, lease, len(started))
-		resp.Timings = Timings{
-			Parse:   it.spec.parseMS,
-			Program: programMS,
-			Solve:   solveSecs * 1e3,
-			Total:   it.spec.parseMS + programMS + solveSecs*1e3,
-		}
-		resp.Hardware = &st
-		resp.Span = it.span
-		s.finishJob(it.job, resp, nil)
-	}
-	s.logger.Info("batch solve",
-		"jobs", len(started), "key", spec.key, "rows", spec.m.Rows(),
-		"cache_hit", lease.Hit, "solve_ms", solveSecs*1e3, "timed_out", timedOut)
-}
-
-// buildBatchResponse assembles a batched job's result. The hardware
-// window is per batch (set by the caller); BatchSize flags that.
-func (s *Server) buildBatchResponse(spec *solveSpec, res *solver.Result, lease *Lease, size int) *SolveResponse {
-	return &SolveResponse{
-		X:          res.X,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   res.Residual,
-		Breakdown:  res.Breakdown,
-		Method:     spec.method,
-		Backend:    spec.backend,
-		Rows:       spec.m.Rows(),
-		NNZ:        spec.m.NNZ(),
-		Cache:      &CacheInfo{Hit: lease.Hit, Key: lease.Key},
-		Node:       s.cfg.NodeID,
-		BatchSize:  size,
-	}
 }

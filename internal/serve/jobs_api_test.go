@@ -386,8 +386,9 @@ func TestJobBatching(t *testing.T) {
 	if jp := pollJob(t, ts, blocker.ID); jp.State != jobs.StateDone {
 		t.Fatalf("blocker state %q error %q", jp.State, jp.Error)
 	}
+	ids := []string{ja.ID, jb.ID}
 	var results []*SolveResponse
-	for _, id := range []string{ja.ID, jb.ID} {
+	for _, id := range ids {
 		jp := pollJob(t, ts, id)
 		if jp.State != jobs.StateDone {
 			t.Fatalf("job %s state %q error %q", id, jp.State, jp.Error)
@@ -398,9 +399,29 @@ func TestJobBatching(t *testing.T) {
 		}
 		results = append(results, &sr)
 	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traces []*obs.SolveTrace
+	err = json.NewDecoder(resp.Body).Decode(&traces)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := map[string]bool{}
+	for _, tr := range traces {
+		traced[tr.ID] = true
+	}
 	for i, sr := range results {
 		if !sr.Converged {
 			t.Errorf("batched job %d did not converge: %+v", i, sr)
+		}
+		if sr.RequestID != ids[i] {
+			t.Errorf("batched job %d request_id %q, want its job ID %s", i, sr.RequestID, ids[i])
+		}
+		if !traced[ids[i]] {
+			t.Errorf("batched job %d (%s) missing from /debug/traces", i, ids[i])
 		}
 		if sr.BatchSize != 2 {
 			t.Errorf("batched job %d batch_size %d want 2", i, sr.BatchSize)

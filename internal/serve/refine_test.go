@@ -52,7 +52,7 @@ func TestServerRefineModeAccel(t *testing.T) {
 		t.Errorf("backend %q", sr.Backend)
 	}
 	if sr.Cache == nil || sr.Cache.Hit {
-		t.Errorf("first refine solve should miss the refine cache: %+v", sr.Cache)
+		t.Errorf("first refine solve should miss its cache entry: %+v", sr.Cache)
 	}
 	// The true residual is checked against the EXACT operator — the
 	// fp64 outer loop's whole job.
@@ -69,18 +69,18 @@ func TestServerRefineModeAccel(t *testing.T) {
 		t.Errorf("hardware window missing: %+v", sr.Hardware)
 	}
 
-	// The identical request hits the refine cache, not the direct one.
+	// The identical request hits the refine entry, not a direct one.
 	resp2, raw2 := postSolve(t, ts, req)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp2.StatusCode, raw2)
 	}
 	sr2 := decodeSolve(t, raw2)
 	if sr2.Cache == nil || !sr2.Cache.Hit {
-		t.Errorf("repeat refine solve should hit the refine cache: %+v", sr2.Cache)
+		t.Errorf("repeat refine solve should hit the refine entry: %+v", sr2.Cache)
 	}
 
 	// A direct solve of the same matrix must not collide with the
-	// refine cache entry (different cluster config, different key).
+	// refine entry (different cluster config, different key).
 	dreq := SolveRequest{Matrix: mmText(t, m), Method: "cg", Tol: 1e-10}
 	_, draw := postSolve(t, ts, dreq)
 	dsr := decodeSolve(t, draw)
@@ -147,5 +147,54 @@ func TestServerRefineModeValidation(t *testing.T) {
 	}
 	if sr := decodeSolve(t, raw); sr.Mode != "" {
 		t.Errorf("direct mode echoed as %q", sr.Mode)
+	}
+}
+
+// Refine engines live in the server's one engine cache: a refine solve
+// shows in the memserve_cache_* series, a direct solve of the same
+// matrix is a second miss because its key differs, and both count
+// against one cluster budget, so a refine engine can evict a direct one.
+func TestRefineEnginesShareTheCache(t *testing.T) {
+	mm := mmText(t, testMatrix(t, 192, 11))
+	direct := SolveRequest{Matrix: mm, Method: "cg", Tol: 1e-10}
+	refine := SolveRequest{Matrix: mm, Method: "cg", Mode: "refine", Tol: 1e-10}
+	solve := func(ts *httptest.Server, req SolveRequest) *SolveResponse {
+		t.Helper()
+		resp, raw := postSolve(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		return decodeSolve(t, raw)
+	}
+	wantMetrics := func(ts *httptest.Server, lines ...string) {
+		t.Helper()
+		text := fetchMetrics(t, ts)
+		for _, line := range lines {
+			if !strings.Contains(text, line+"\n") {
+				t.Errorf("metrics lack %q:\n%s", line, grepMetrics(text, "memserve_cache_"))
+			}
+		}
+	}
+
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	solve(ts, refine)
+	wantMetrics(ts, "memserve_cache_misses_total 1", "memserve_cache_programmings_total 1", "memserve_cache_entries 1")
+	refineWeight := s.Cache().Stats().Clusters
+	if sr := solve(ts, direct); sr.Cache == nil || sr.Cache.Hit {
+		t.Errorf("direct solve after refine: cache %+v, want a miss", sr.Cache)
+	}
+	wantMetrics(ts, "memserve_cache_misses_total 2", "memserve_cache_programmings_total 2", "memserve_cache_entries 2")
+
+	// A budget of exactly the direct entry's weight.
+	bs := New(Config{Cache: CacheConfig{MaxClusters: s.Cache().Stats().Clusters - refineWeight}})
+	bts := httptest.NewServer(bs)
+	defer bts.Close()
+	solve(bts, direct)
+	solve(bts, refine)
+	wantMetrics(bts, "memserve_cache_evictions_total 1", "memserve_cache_entries 1")
+	if sr := solve(bts, direct); sr.Cache == nil || sr.Cache.Hit {
+		t.Errorf("direct solve after the refine eviction: cache %+v, want a miss", sr.Cache)
 	}
 }

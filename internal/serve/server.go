@@ -49,12 +49,13 @@ type Config struct {
 	Refresh *accel.RefreshPolicy
 	// RefineCluster is the reduced-precision hardware configuration the
 	// refinement inner engines are programmed with (zero value =
-	// core.ReducedSliceConfig(8)). Refine-mode solves lease from a
-	// second engine cache keyed by this configuration, so direct and
-	// refine solves of the same matrix never share an engine.
+	// core.ReducedSliceConfig(8)). Refine-mode solves lease from the
+	// same engine cache as direct ones; the configuration is part of the
+	// cache key, so direct and refine solves of the same matrix never
+	// share an engine.
 	RefineCluster core.ClusterConfig
-	// Cache sizes the engine cache (both the direct and the refine cache
-	// use this sizing independently).
+	// Cache sizes the engine cache. Its MaxClusters budget is one chip's
+	// worth, shared by the direct and the refine engines.
 	Cache CacheConfig
 	// Logger receives structured request and solve logs (nil = discard;
 	// cmd/memserve passes a text handler on stderr).
@@ -192,16 +193,12 @@ func (c Config) withDefaults() Config {
 // down. Servers that run async jobs hold a worker pool — call Close
 // when discarding the server.
 type Server struct {
-	cfg   Config
-	cache *Cache
-	// refineCache holds the reduced-precision inner engines for
-	// mode:"refine" solves; its fingerprints embed RefineCluster, so its
-	// keys never collide with the direct cache's.
-	refineCache *Cache
-	metrics     *Metrics
-	traces      *obs.TraceRing
-	logger      *slog.Logger
-	mux         *http.ServeMux
+	cfg     Config
+	cache   *Cache
+	metrics *Metrics
+	traces  *obs.TraceRing
+	logger  *slog.Logger
+	mux     *http.ServeMux
 
 	store   *jobs.Store
 	queue   *workQueue
@@ -223,8 +220,8 @@ type Server struct {
 
 	// solveHook, when non-nil, runs at the top of handleSolve — a test
 	// seam for exercising the panic-recovery accounting. execHook runs
-	// at the top of executeSolve (sync and async) — the seam for
-	// saturating the execution pool deterministically.
+	// at the top of execute (sync solves, jobs and batches) — the seam
+	// for saturating the execution pool deterministically.
 	solveHook func()
 	execHook  func()
 }
@@ -238,8 +235,6 @@ func New(cfg Config) *Server {
 	s := &Server{cfg: cfg, logger: cfg.Logger}
 	s.cache = NewCache(cfg.Cache, cfg.Cluster, cfg.Seed)
 	s.cache.refresh = cfg.Refresh
-	s.refineCache = NewCache(cfg.Cache, cfg.RefineCluster, cfg.Seed)
-	s.refineCache.refresh = cfg.Refresh
 	s.store = jobs.NewStore(jobs.StoreConfig{Capacity: cfg.JobCapacity, TTL: cfg.JobTTL})
 	s.queue = newWorkQueue(cfg.QueueDepth)
 	s.sem = make(chan struct{}, cfg.MaxConcurrent)
@@ -350,9 +345,6 @@ func (s *Server) EffectiveConfig() map[string]any {
 
 // Cache exposes the engine cache (tests and metrics).
 func (s *Server) Cache() *Cache { return s.cache }
-
-// Traces exposes the ring of recent solve traces.
-func (s *Server) Traces() *obs.TraceRing { return s.traces }
 
 // SolveRequest is the POST /solve body.
 type SolveRequest struct {
@@ -535,8 +527,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.effectiveTimeout(&spec.req))
 	defer cancel()
 
-	resp, err := s.executeSolve(ctx, spec, reqID, nil, root)
-	if err != nil {
+	resps, err := s.execute(ctx, []*queuedJob{{id: reqID, spec: spec, span: root}})
+	resp := resps[0]
+	if resp == nil {
 		// Cache-acquisition failures kept their historical 422 fallback;
 		// solver failures map to 400, context errors to 504/503.
 		if errors.Is(err, errAcquire) {

@@ -11,17 +11,31 @@ import (
 	"time"
 
 	"memsci/internal/accel"
+	"memsci/internal/core"
+	"memsci/internal/jobs"
+	"memsci/internal/lowprec"
 	"memsci/internal/obs"
 	"memsci/internal/solver"
 	"memsci/internal/sparse"
 )
 
+// DefaultRefineBits is the significand width of the default refinement
+// inner configuration: 8 bits keeps slice counts (and ADC conversions)
+// several times below the full-precision scheme while the fp64 outer
+// loop still converges in a handful of sweeps on the evaluation corpus.
+const DefaultRefineBits = 8
+
+// refineLowprecBlockRows is the row-block granularity for the csr-backend
+// lowprec inner operator (512 matches the paper's largest cluster).
+const refineLowprecBlockRows = 512
+
 // errAcquire tags engine-cache acquisition failures so handleSolve can
 // keep their historical 422 mapping distinct from solver errors (400).
 var errAcquire = errors.New("acquiring engine")
 
-// acquireErr wraps a cache.Acquire failure so callers can match both the
-// errAcquire tag and the underlying cause (e.g. a context error).
+// acquireErr wraps an engine-cache acquisition failure so callers can
+// match both the errAcquire tag and the underlying cause (e.g. a context
+// error).
 type acquireErr struct{ err error }
 
 func (e *acquireErr) Error() string   { return "acquiring engine: " + e.err.Error() }
@@ -29,8 +43,9 @@ func (e *acquireErr) Unwrap() []error { return []error{errAcquire, e.err} }
 
 // solveSpec is one fully validated solve: the parsed system, the
 // normalized method/backend, the raw request bytes (for peer
-// forwarding), and the engine-cache fingerprint (the sharding key). Both
-// the synchronous /solve path and the async job path produce a spec at
+// forwarding), and the engine-cache fingerprint (the sharding and cache
+// key) with the cluster configuration it was computed from. Both the
+// synchronous /solve path and the async job path produce a spec at
 // admission time and execute it later.
 type solveSpec struct {
 	req     SolveRequest
@@ -42,6 +57,7 @@ type solveSpec struct {
 	// mode is "refine" for mixed-precision refinement, "" for direct.
 	mode    string
 	key     string
+	ccfg    core.ClusterConfig
 	tenant  string
 	parseMS float64
 }
@@ -145,8 +161,8 @@ func (s *Server) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solv
 	if tenant == "" {
 		tenant = anonymousTenant
 	}
-	// Refine-mode accel solves lease from the refine cache, so their
-	// sharding/cache key must embed the refine cluster configuration —
+	// Refine-mode accel solves lease engines programmed with the refine
+	// cluster configuration, so their sharding/cache key must embed it —
 	// otherwise a sharded cluster would route them to the owner of the
 	// full-precision engine and program the matrix twice.
 	ccfg := s.cfg.Cluster
@@ -162,6 +178,7 @@ func (s *Server) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solv
 		backend: backend,
 		mode:    mode,
 		key:     Fingerprint(m, ccfg, s.cfg.Seed),
+		ccfg:    ccfg,
 		tenant:  tenant,
 		parseMS: msSince(start),
 	}
@@ -185,159 +202,247 @@ func (s *Server) effectiveTimeout(req *SolveRequest) time.Duration {
 	return timeout
 }
 
-// executeSolve runs one validated solve to completion under ctx (which
-// carries the per-solve deadline). It acquires the engine lease for the
-// accel backend, records the per-iteration trace, tees the solver
-// monitor into extra (the job event bridge; nil for sync solves), and
-// folds the outcome into the serving metrics. The caller owns status
-// mapping: on error the returned response is nil and err wraps the
-// solver or context failure (context.DeadlineExceeded marks a solve
-// timeout, already counted in the timeout metric here).
-// parent, when non-nil, receives program/solve/refresh child spans; the
-// solve span carries the engine's hardware-counter window for the run.
-func (s *Server) executeSolve(ctx context.Context, spec *solveSpec, reqID string, extra solver.Monitor, parent *obs.Span) (*SolveResponse, error) {
+// execute runs one validated solve, or a batch of compatible queued
+// CG jobs that share one engine (see batchable), under ctx, which
+// carries the solve deadline. Every solve runs here: handleSolve passes
+// its request as a one-item batch with no job, runQueued its dequeued
+// jobs. execute gets the operator — an engine leased from the cache for
+// the accel backend, the reference CSR operator or, for refine on csr,
+// the lowprec datapath — runs the solver, and does each item's
+// bookkeeping: program, solve and refresh spans under its span, its
+// trace in the ring, the metrics, the response and the log line. A
+// job's iterations also feed its SSE event log.
+//
+// resps has one entry per item; a nil entry failed with err, which
+// wraps the acquisition, solver or context failure (a deadline is
+// already counted in the timeout metric). Batch members that converged
+// before a shared failure keep their response.
+func (s *Server) execute(ctx context.Context, items []*queuedJob) (resps []*SolveResponse, err error) {
 	if s.execHook != nil {
 		s.execHook()
 	}
-	if spec.mode == "refine" {
-		return s.executeRefine(ctx, spec, reqID, extra, parent)
-	}
 	start := time.Now()
+	resps = make([]*SolveResponse, len(items))
+	spec := items[0].spec
+	refine, batched := spec.mode == "refine", len(items) > 1
 
-	opt := solver.Options{
-		Tol:     spec.req.Tol,
-		MaxIter: spec.req.MaxIter,
-		Restart: spec.req.Restart,
-		Ctx:     ctx,
+	ref := solver.CSROperator{M: spec.m}
+	var op solver.Operator = ref
+	var lease *Lease
+	progStart := time.Now()
+	switch {
+	case spec.backend == "accel":
+		if lease, err = s.cache.acquire(ctx, spec.key, spec.ccfg, spec.m); err != nil {
+			err = &acquireErr{err: err}
+			break
+		}
+		defer lease.Release()
+		lease.Engine.TakeStats() // discard any stale window
+		op = lease.Engine
+		s.metrics.programSeconds.ObserveExemplar(time.Since(progStart).Seconds(), items[0].span.Context().TraceID)
+	case refine:
+		var lp *lowprec.Operator
+		if lp, err = lowprec.New(spec.m, DefaultRefineBits, refineLowprecBlockRows); err != nil {
+			err = fmt.Errorf("building lowprec inner operator: %w", err)
+			break
+		}
+		op, _ = lp.ForRefinement()
 	}
+	programMS := msSince(progStart)
+	if spec.backend == "accel" || refine {
+		for _, it := range items {
+			progSp := it.span.StartChildAt("program", progStart)
+			if lease != nil {
+				progSp.SetAttr("cache_hit", fmt.Sprint(lease.Hit))
+			}
+			progSp.End()
+		}
+	}
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) {
+			s.metrics.timeouts.Add(int64(len(items)))
+		}
+		return resps, err
+	}
+
+	// Every solve is recorded. A single solve's recorder baselines the
+	// engine's hardware counters (just reset above) and snapshots a
+	// delta per iteration, so the deltas sum exactly to the engine's
+	// stats window; batch members record residuals only, since that
+	// window covers the whole batch.
+	var sampler func() obs.HWCounters
+	if lease != nil && !batched {
+		sampler = lease.Engine.HWCounters
+	}
+	recs := make([]*obs.Recorder, len(items))
+	monitors := make([]solver.Monitor, len(items))
+	solveSps := make([]*obs.Span, len(items))
+	for i, it := range items {
+		recs[i] = obs.NewRecorder(sampler)
+		monitors[i] = recs[i].Observe
+		if it.job != nil {
+			events := it.job.Events
+			monitors[i] = solver.Tee(recs[i].Observe, func(iter int, rn float64) {
+				events.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
+			})
+		}
+		solveSps[i] = it.span.StartChild("solve")
+		solveSps[i].SetAttr("method", spec.method)
+		if refine {
+			solveSps[i].SetAttr("mode", "refine")
+		}
+		recs[i].AttachSpan(solveSps[i])
+	}
+
+	opt := solver.Options{Tol: spec.req.Tol, MaxIter: spec.req.MaxIter, Restart: spec.req.Restart, Ctx: ctx}
 	if opt.Tol == 0 {
 		opt.Tol = 1e-8
 	}
 	if spec.req.Jacobi {
 		opt.Diag = spec.m.Diagonal()
 	}
+	solveStart := time.Now()
+	results := make([]*solver.Result, len(items))
+	outer := 0
+	switch {
+	case batched:
+		bs := make([][]float64, len(items))
+		for i, it := range items {
+			bs[i] = it.spec.b
+		}
+		var batch []*solver.Result
+		if batch, err = solver.CGBatch(lease.Engine, bs, opt, monitors); batch != nil {
+			results = batch
+		}
+		s.metrics.batches.Inc()
+		s.metrics.batchedJobs.Add(int64(len(items)))
+		s.metrics.batchSize.Observe(float64(len(items)))
+	case refine:
+		// Each completed sweep gets its own span under the solve span,
+		// charged retroactively when the outer monitor fires: the inner
+		// solve plus the fp64 residual recomputation of that sweep.
+		sweepStart := solveStart
+		var rres *solver.RefineResult
+		rres, err = solver.Refine(ref, op, spec.b, solver.RefineOptions{
+			Tol:      spec.req.Tol,
+			MaxOuter: spec.req.MaxOuter,
+			Method:   spec.method,
+			Inner:    solver.Options{Tol: spec.req.InnerTol, MaxIter: spec.req.InnerMaxIter, Monitor: monitors[0]},
+			Monitor: func(sweep int, rn float64) {
+				sweepSp := solveSps[0].StartChildAt("sweep", sweepStart)
+				sweepSp.SetAttr("outer", fmt.Sprint(sweep))
+				sweepSp.SetAttr("residual", fmt.Sprintf("%.3e", rn))
+				sweepSp.End()
+				sweepStart = time.Now()
+			},
+			Ctx: ctx,
+		})
+		if rres != nil {
+			// Iterations mirrors the summed inner iterations, so consumers
+			// that count work need not know the mode.
+			results[0] = &solver.Result{X: rres.X, Iterations: rres.InnerIterations, Converged: rres.Converged, Residual: rres.Residual}
+			outer = rres.Outer
+		}
+	default:
+		opt.Monitor = monitors[0]
+		results[0], err = runMethod(spec.method, op, spec.m, spec.b, opt)
+	}
 
-	var op solver.Operator = solver.CSROperator{M: spec.m}
-	var cacheInfo *CacheInfo
-	var lease *Lease
-	progStart := time.Now()
-	if spec.backend == "accel" {
-		progSp := parent.StartChild("program")
-		var err error
-		lease, err = s.cache.Acquire(ctx, spec.m)
-		if err != nil {
-			progSp.End()
+	solveSecs := time.Since(solveStart).Seconds()
+	traces := make([]*obs.SolveTrace, len(items))
+	for i, it := range items {
+		solveSps[i].End()
+		s.metrics.solveSeconds.ObserveExemplar(solveSecs, it.span.Context().TraceID)
+		s.metrics.solves.Inc()
+		if res := results[i]; res != nil {
+			tr := recs[i].Finish(res.Converged, res.Residual)
+			tr.ID, tr.Method, tr.Backend, tr.Rows, tr.NNZ = it.id, spec.method, spec.backend, spec.m.Rows(), spec.m.NNZ()
+			s.traces.Add(tr)
+			s.metrics.iterations.Observe(float64(res.Iterations))
+			s.metrics.observeTrace(tr)
+			traces[i] = tr
+		}
+	}
+	// Drained after the traces are sealed: a recorder's last sample
+	// reads the counters TakeStats resets.
+	var st core.ComputeStats
+	var rs accel.RefreshStats
+	if lease != nil {
+		st = lease.Engine.TakeStats()
+		if rs = lease.Engine.TakeRefreshStats(); rs != (accel.RefreshStats{}) {
+			s.metrics.noteRefresh(rs)
+		}
+	}
+
+	for i, it := range items {
+		res := results[i]
+		if batched {
+			// Each member's solve span carries the whole batch's hardware
+			// window with batch_size marked, as its response does.
+			solveSps[i].SetHW(st.HWCounters())
+			solveSps[i].SetAttr("batch_size", fmt.Sprint(len(items)))
+		}
+		if err != nil && (res == nil || !res.Converged) {
 			if errors.Is(err, context.DeadlineExceeded) {
 				s.metrics.timeouts.Inc()
 			}
-			return nil, &acquireErr{err: err}
+			continue
 		}
-		defer lease.Release()
-		lease.Engine.TakeStats() // discard any stale window
-		op = lease.Engine
-		cacheInfo = &CacheInfo{Hit: lease.Hit, Key: lease.Key}
-		progSp.SetAttr("cache_hit", fmt.Sprint(lease.Hit))
-		progSp.End()
-		s.metrics.programSeconds.ObserveExemplar(time.Since(progStart).Seconds(), parent.Context().TraceID)
-	}
-	programMS := msSince(progStart)
-
-	// Every solve is recorded: the recorder baselines the engine's
-	// hardware counters (just reset above) and snapshots a delta per
-	// iteration through the solver Monitor hook, so the per-iteration
-	// deltas sum exactly to the engine's end-of-solve stats window.
-	var sampler func() obs.HWCounters
-	if lease != nil {
-		sampler = lease.Engine.HWCounters
-	}
-	rec := obs.NewRecorder(sampler)
-	opt.Monitor = solver.Tee(rec.Observe, extra)
-
-	solveSp := parent.StartChild("solve")
-	solveSp.SetAttr("method", spec.method)
-	rec.AttachSpan(solveSp)
-
-	solveStart := time.Now()
-	res, err := runMethod(spec.method, op, spec.m, spec.b, opt)
-	solveSp.End()
-	s.metrics.solveSeconds.ObserveExemplar(time.Since(solveStart).Seconds(), parent.Context().TraceID)
-	s.metrics.solves.Inc()
-
-	var trace *obs.SolveTrace
-	if res != nil {
-		trace = rec.Finish(res.Converged, res.Residual)
-		trace.ID = reqID
-		trace.Method = spec.method
-		trace.Backend = spec.backend
-		trace.Rows = spec.m.Rows()
-		trace.NNZ = spec.m.NNZ()
-		s.traces.Add(trace)
-		s.metrics.iterations.Observe(float64(res.Iterations))
-		s.metrics.observeTrace(trace)
-	}
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.metrics.timeouts.Inc()
+		resp := &SolveResponse{
+			X:          res.X,
+			Iterations: res.Iterations,
+			Converged:  res.Converged,
+			Residual:   res.Residual,
+			Breakdown:  res.Breakdown,
+			Method:     spec.method,
+			Backend:    spec.backend,
+			Rows:       spec.m.Rows(),
+			NNZ:        spec.m.NNZ(),
+			RequestID:  it.id,
+			Node:       s.cfg.NodeID,
+			Timings: Timings{
+				Parse:   it.spec.parseMS,
+				Program: programMS,
+				Solve:   msSince(solveStart),
+				Total:   it.spec.parseMS + msSince(start),
+			},
 		}
-		return nil, err
-	}
-
-	resp := s.buildResponse(spec, res, lease, cacheInfo, reqID, parent)
-	resp.Timings = Timings{
-		Parse:   spec.parseMS,
-		Program: programMS,
-		Solve:   msSince(solveStart),
-		Total:   spec.parseMS + msSince(start),
-	}
-	if spec.req.Trace {
-		resp.Trace = trace
-	}
-
-	s.logger.Info("solve",
-		"id", reqID,
-		"method", spec.method,
-		"backend", spec.backend,
-		"rows", spec.m.Rows(),
-		"nnz", spec.m.NNZ(),
-		"iterations", res.Iterations,
-		"converged", res.Converged,
-		"residual", res.Residual,
-		"cache_hit", cacheInfo != nil && cacheInfo.Hit,
-		"solve_ms", msSince(solveStart),
-	)
-	return resp, nil
-}
-
-// buildResponse assembles the common response fields and drains the
-// leased engine's stats and refresh windows. Refresh work, when any
-// happened, gets its own child span under parent so re-programming cost
-// is attributed separately from the solve.
-func (s *Server) buildResponse(spec *solveSpec, res *solver.Result, lease *Lease, cacheInfo *CacheInfo, reqID string, parent *obs.Span) *SolveResponse {
-	resp := &SolveResponse{
-		X:          res.X,
-		Iterations: res.Iterations,
-		Converged:  res.Converged,
-		Residual:   res.Residual,
-		Breakdown:  res.Breakdown,
-		Method:     spec.method,
-		Backend:    spec.backend,
-		Rows:       spec.m.Rows(),
-		NNZ:        spec.m.NNZ(),
-		Cache:      cacheInfo,
-		RequestID:  reqID,
-		Node:       s.cfg.NodeID,
-	}
-	if lease != nil {
-		st := lease.Engine.TakeStats()
-		resp.Hardware = &st
-		if rs := lease.Engine.TakeRefreshStats(); rs != (accel.RefreshStats{}) {
-			resp.Refresh = &rs
-			s.metrics.noteRefresh(rs)
-			refreshSp := parent.StartChild("refresh")
-			refreshSp.SetAttr("refreshes", fmt.Sprint(rs.Refreshes))
-			refreshSp.SetAttr("cells", fmt.Sprint(rs.CellsReprogrammed))
-			refreshSp.End()
+		if refine {
+			resp.Mode, resp.Outer, resp.InnerIterations = "refine", outer, res.Iterations
 		}
+		if batched {
+			resp.BatchSize = len(items)
+		}
+		if lease != nil {
+			resp.Cache = &CacheInfo{Hit: lease.Hit, Key: lease.Key}
+			resp.Hardware = &st
+			if rs != (accel.RefreshStats{}) {
+				resp.Refresh = &rs
+				refreshSp := it.span.StartChild("refresh")
+				refreshSp.SetAttr("refreshes", fmt.Sprint(rs.Refreshes))
+				refreshSp.SetAttr("cells", fmt.Sprint(rs.CellsReprogrammed))
+				refreshSp.End()
+			}
+		}
+		if it.spec.req.Trace {
+			resp.Trace = traces[i]
+		}
+		resps[i] = resp
+		s.logger.Info("solve",
+			"id", it.id,
+			"mode", resp.Mode,
+			"method", spec.method,
+			"backend", spec.backend,
+			"rows", resp.Rows,
+			"nnz", resp.NNZ,
+			"iterations", res.Iterations,
+			"outer", outer,
+			"batch_size", resp.BatchSize,
+			"converged", res.Converged,
+			"residual", res.Residual,
+			"cache_hit", lease != nil && lease.Hit,
+			"solve_ms", resp.Timings.Solve,
+		)
 	}
-	return resp
+	return resps, err
 }
