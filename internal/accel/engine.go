@@ -264,23 +264,6 @@ func (e *Engine) Stats() core.ComputeStats {
 // Clusters returns the number of programmed clusters.
 func (e *Engine) Clusters() int { return len(e.clusters) }
 
-// KernelNames reports the distinct MVM kernel variants selected across
-// the engine's clusters (core.Cluster.KernelName), in first-seen
-// cluster order — the diagnostic membench prints so a benchmark run
-// records which specialization it actually measured.
-func (e *Engine) KernelNames() []string {
-	var names []string
-	seen := make(map[string]bool, 2)
-	for _, eb := range e.clusters {
-		k := eb.cluster.KernelName()
-		if !seen[k] {
-			seen[k] = true
-			names = append(names, k)
-		}
-	}
-	return names
-}
-
 // HWCounters snapshots the cumulative hardware counters without
 // resetting them — the sampler the telemetry recorder differences once
 // per solver iteration. It aggregates over clusters like Stats, so it

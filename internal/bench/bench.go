@@ -50,12 +50,6 @@ type Preset struct {
 	// on the hit path (a single hit is far below timer resolution).
 	CacheRows int `json:"cacheRows"`
 	HitBatch  int `json:"hitBatch"`
-
-	// Kernel, when non-empty, forces core.ClusterConfig.Kernel for every
-	// engine-backed workload (cmd/membench -kernel). The CI gate uses it
-	// to benchmark the generic kernel against the specialized default on
-	// identical workloads; empty keeps the automatic selection.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // Short is the CI preset: small workloads, enough repetitions for a
@@ -156,7 +150,6 @@ type Result struct {
 type Suite struct {
 	Schema     int      `json:"schema"`
 	Preset     string   `json:"preset"`
-	Kernel     string   `json:"kernel,omitempty"`
 	GoVersion  string   `json:"goVersion"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
@@ -193,7 +186,6 @@ func RunSuiteOptions(p Preset, filter *regexp.Regexp, benchmem bool, logf func(f
 	s := &Suite{
 		Schema:     SchemaVersion,
 		Preset:     p.Name,
-		Kernel:     p.Kernel,
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,

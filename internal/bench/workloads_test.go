@@ -112,40 +112,6 @@ func TestRunSuiteFilter(t *testing.T) {
 	}
 }
 
-// TestKernelForce runs one engine workload with the generic kernel
-// forced: the force must reach the clusters (a bogus or retired name
-// fails setup), the deterministic workload observables must match the
-// automatic choice, and the suite must record which kernel it measured.
-func TestKernelForce(t *testing.T) {
-	filter := regexp.MustCompile(`^engine/apply/serial$`)
-	base, err := RunSuite(tiny, filter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tiny
-	p.Kernel = "generic"
-	s, err := RunSuite(p, filter, nil)
-	if err != nil {
-		t.Fatalf("kernel generic: %v", err)
-	}
-	if s.Kernel != "generic" {
-		t.Fatalf("suite recorded kernel %q, want generic", s.Kernel)
-	}
-	got, want := s.Results[0].Metrics, base.Results[0].Metrics
-	for key := range DeterministicMetrics {
-		if got[key] != want[key] {
-			t.Fatalf("kernel generic: deterministic metric %s = %v, auto = %v", key, got[key], want[key])
-		}
-	}
-	for _, kernel := range []string{"vectorized", "swar", "blocked"} {
-		p := tiny
-		p.Kernel = kernel
-		if _, err := RunSuite(p, filter, nil); err == nil {
-			t.Fatalf("unknown kernel name %q accepted", kernel)
-		}
-	}
-}
-
 func TestPresetByName(t *testing.T) {
 	for _, name := range []string{"short", "full"} {
 		p, err := PresetByName(name)

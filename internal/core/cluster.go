@@ -40,11 +40,6 @@ type ClusterConfig struct {
 	MaxCorrectCount int
 	// VectorMaxPad bounds vector-segment alignment padding.
 	VectorMaxPad int
-	// ReferenceMVM selects the retained big.Int MulVec implementation
-	// instead of the allocation-free fixed-width one. The two are
-	// bit-identical (enforced by golden equivalence tests); the reference
-	// path exists as the semantic oracle, not as a fallback.
-	ReferenceMVM bool
 	// MatrixQuant reduces the stored matrix encoding for mixed-precision
 	// operation. The cluster itself programs whatever Block it is handed;
 	// this field is the contract that the block was built with the same
@@ -55,13 +50,6 @@ type ClusterConfig struct {
 	// applications per MulVec, hence fewer ADC conversions. The zero
 	// value is the exact scheme.
 	VectorQuant Quant
-	// Kernel forces the MVM kernel variant: KernelAuto (the empty
-	// string: the exact kernel of exact.go without error injection, the
-	// lane kernel of kernel.go with it) or KernelGeneric. Both are
-	// bit-identical in outputs and statistics; the knob exists for the
-	// CI benchmark gate and the kernel equivalence tests, which compare
-	// the automatic kernels against the generic loop.
-	Kernel string
 }
 
 // DefaultClusterConfig returns the paper's evaluation configuration:
@@ -197,9 +185,8 @@ type Cluster struct {
 	cfg   ClusterConfig
 	block *Block
 
-	// planes are the bit-slice crossbars, built only for the generic
-	// loop, the reference path and error injection (nil for a cluster
-	// on the exact kernel).
+	// planes are the bit-slice crossbars, built only for error injection
+	// and the reference path (nil for a cluster on the exact kernel).
 	planes    []*xbar.Plane
 	planeBits int // bits per plane = Device.BitsPerCell
 	nPlanes   int
@@ -213,9 +200,10 @@ type Cluster struct {
 	// each conversion by. The programming pass computes it from the
 	// codewords, so it exists with or without planes.
 	storedOnes []int32
-	// convBits, present for the automatic kernels when ADC headstart is
-	// on, tabulates the SAR bit decisions of one (row, slice) pair as a
-	// function of the applied popcount bound's bit length:
+	// convBits, present for the exact and lane kernels when ADC
+	// headstart is on, tabulates the SAR bit decisions of one
+	// (row, slice) pair as a function of the applied popcount bound's
+	// bit length:
 	// convBits[i·(maxCap+1) + Len(popX·lmax)] = Σ_t clamp(min(Len(w_t),
 	// Len(popX·lmax)), 1, Resolution) over the stored-level sums w_t.
 	// This is exact because Len is monotone, so Len(min(w, cap)) =
@@ -251,8 +239,8 @@ type Cluster struct {
 
 	// exact selects the exact kernel (exact.go). Otherwise decWords is
 	// the lane kernel's decode-width specialization (kernel.go): 1 =
-	// single 64-bit word, 2 = 128-bit pair, 0 = generic multi-word, and
-	// packed its lane mirror (nil selects the generic kernel), immutable
+	// single 64-bit word, 2 = 128-bit pair, 0 = multi-word, and
+	// packed its lane mirror (nil on a reference cluster), immutable
 	// after NewCluster and shared by forks like the planes.
 	exact    bool
 	decWords int
@@ -272,8 +260,21 @@ type Cluster struct {
 // 118 + 9 = 127 planes (§III-B). Narrower blocks use fewer.
 const ClusterPlanes = 127
 
-// NewCluster programs a block into a fresh cluster.
+// NewCluster programs a block into a fresh cluster: an error-free one
+// runs the exact kernel (exact.go), an injected one the lane kernel
+// (kernel.go). Both build on 64-bit words, so NewCluster refuses builds
+// whose big.Word is narrower.
 func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
+	return newCluster(block, cfg, false)
+}
+
+// newCluster is NewCluster, or with reference set a cluster on the
+// big.Int reference MVM of cluster_ref.go, the oracle package core's
+// tests hold both kernels to.
+func newCluster(block *Block, cfg ClusterConfig, reference bool) (*Cluster, error) {
+	if wordBits != 64 {
+		return nil, fmt.Errorf("core: clusters need 64-bit words, this build has %d-bit ones", wordBits)
+	}
 	if err := cfg.Device.Validate(); err != nil {
 		return nil, err
 	}
@@ -288,9 +289,6 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 	}
 	if err := cfg.VectorQuant.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Kernel != KernelAuto && cfg.Kernel != KernelGeneric {
-		return nil, fmt.Errorf("core: unknown kernel %q (want %q or auto)", cfg.Kernel, KernelGeneric)
 	}
 	c := &Cluster{cfg: cfg, block: block, bias: block.Code.Bias()}
 	c.planeBits = cfg.Device.BitsPerCell
@@ -309,13 +307,11 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 		c.arr = device.NewArray(cfg.Device, c.noiseSeed)
 	}
 
-	// An error-free cluster under the automatic kernel computes each
-	// row's dot product exactly (exact.go, built on 64-bit words) and
-	// holds no bit plane, reduction scratch or AN corrector; those exist
-	// for the generic loop, the reference path and the device-error
-	// model.
-	auto := cfg.Kernel == KernelAuto && !cfg.ReferenceMVM
-	c.exact = auto && !cfg.InjectErrors && wordBits == 64
+	// An error-free cluster on the exact kernel computes each row's dot
+	// product exactly and holds no bit plane, reduction scratch or AN
+	// corrector; those exist for the device-error model and the
+	// reference path.
+	c.exact = !reference && !cfg.InjectErrors
 	c.program(!c.exact)
 	cic := cfg.CIC && c.planeBits == 1
 	if cic {
@@ -348,10 +344,10 @@ func NewCluster(block *Block, cfg ClusterConfig) (*Cluster, error) {
 		// Reduction accumulator: coded bits plus the summation growth.
 		c.redWords = make([]big.Word, (c.sumBits+64+63)/64)
 	}
-	if auto {
+	if !reference {
 		c.buildConvBits()
 	}
-	if auto && cfg.InjectErrors {
+	if !reference && cfg.InjectErrors {
 		c.decWords = c.decodeWords()
 		c.packed = c.laneMirror()
 	}
@@ -611,19 +607,17 @@ func (c *Cluster) MulVec(x []float64) ([]float64, error) {
 		err error
 	)
 	switch {
-	case c.cfg.ReferenceMVM:
-		y, err = c.mulVecRef(x)
 	case c.exact:
 		y, err = c.mulVecExact(x)
 	case c.packed != nil:
 		y, err = c.mulVecLanes(x)
 	default:
-		y, err = c.mulVecFix(x)
+		y, err = c.mulVecRef(x)
 	}
 	if c.arr != nil {
 		// Fold the ADC saturation events of this call into the hardware
-		// counters; both MVM paths share the sampler, so the accounting
-		// is identical on either.
+		// counters; the lane kernel and the reference share the sampler,
+		// so the accounting is identical on either.
 		c.stats.SaturationClamps += c.arr.TakeClamps()
 	}
 	return y, err

@@ -27,11 +27,12 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestMulVecFixMatchesReference is the golden equivalence gate for the
-// fixed-width hot path: for every hardware configuration the pipeline
-// supports — all four rounding modes, AN on/off, early termination
-// on/off, CIC on/off, error injection on/off — the fixed path and the
-// retained big.Int reference must produce bit-identical outputs and
-// identical statistics on the same inputs, call after call.
+// fixed-width kernels NewCluster selects (exact without injection, lanes
+// with it): for every hardware configuration the pipeline supports —
+// all four rounding modes, AN on/off, early termination on/off, CIC
+// on/off, error injection on/off — the kernel and the retained big.Int
+// reference must produce bit-identical outputs and identical statistics
+// on the same inputs, call after call.
 func TestMulVecFixMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	modes := []RoundingMode{TowardNegInf, NearestEven, TowardPosInf, TowardZero}
@@ -61,9 +62,7 @@ func TestMulVecFixMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("NewCluster(fix): %v", err)
 					}
-					refCfg := cfg
-					refCfg.ReferenceMVM = true
-					refC, err := NewCluster(b, refCfg)
+					refC, err := newCluster(b, cfg, true)
 					if err != nil {
 						t.Fatalf("NewCluster(ref): %v", err)
 					}
@@ -108,9 +107,7 @@ func TestMulVecFixMatchesReferenceOnError(t *testing.T) {
 	cfg := DefaultClusterConfig()
 	cfg.VectorMaxPad = 8
 	fixC := mustCluster(t, randBlockVals(rng, 4, 6, 6, 1.0), cfg)
-	refCfg := cfg
-	refCfg.ReferenceMVM = true
-	refC := mustCluster(t, randBlockVals(rng, 4, 6, 6, 1.0), refCfg)
+	refC := buildCluster(t, randBlockVals(rng, 4, 6, 6, 1.0), cfg, true)
 	x := []float64{1, math.Ldexp(1, 40), 1, 1, 1, 1} // spread 40 > pad 8
 	_, errF := fixC.MulVec(x)
 	_, errR := refC.MulVec(x)
@@ -215,11 +212,11 @@ func TestForkArenaIsolation(t *testing.T) {
 	}
 }
 
-// TestReferenceMVMFlagSelectsPath pins the dispatch: the flag must
-// actually switch implementations (observable via the arena-ownership
-// contract — the fixed path returns the same backing slice on every
-// call, the reference path a fresh one).
-func TestReferenceMVMFlagSelectsPath(t *testing.T) {
+// TestReferenceClusterSelectsPath pins the dispatch: a reference
+// cluster must actually run the other implementation (observable via
+// the arena-ownership contract — the fixed path returns the same
+// backing slice on every call, the reference path a fresh one).
+func TestReferenceClusterSelectsPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	vals := randBlockVals(rng, 4, 5, 8, 1.0)
 	x := randVec(rng, 5, 10, 1.0)
@@ -231,9 +228,7 @@ func TestReferenceMVMFlagSelectsPath(t *testing.T) {
 		t.Fatal("fixed path did not reuse its arena output")
 	}
 
-	refCfg := DefaultClusterConfig()
-	refCfg.ReferenceMVM = true
-	refC := mustCluster(t, vals, refCfg)
+	refC := buildCluster(t, vals, DefaultClusterConfig(), true)
 	r1, _ := refC.MulVec(x)
 	r2, _ := refC.MulVec(x)
 	if &r1[0] == &r2[0] {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/big"
 
 	"memsci/internal/ancode"
@@ -12,15 +11,15 @@ import (
 // NewCluster and reused by every call. A cluster owns exactly one arena
 // and never shares it; Fork allocates a fresh one, so forks can run
 // MulVec concurrently with the origin. The slice walk's fields are
-// allocated only for the generic loop and the lane kernel, the exact
-// kernel's only for it.
+// allocated only for clusters off the exact kernel, the exact kernel's
+// only for it.
 type mvArena struct {
 	y       []float64
 	colUsed []int
 	// lo and hi are the early-termination interval endpoints.
 	lo, hi Fix
 
-	// Slice walk (generic loop and lane kernel).
+	// Slice walk (lane kernel).
 	//
 	// vs holds the sliced input vector (bitmaps, popcounts, aligned
 	// integers), re-sliced in place each call.
@@ -82,102 +81,11 @@ func (c *Cluster) initArena() {
 	a.pcnts = make([]int, c.nPlanes)
 }
 
-// mulVecFix is the allocation-free MulVec: the same §III-B pipeline as
-// mulVecRef, step for step, with every big.Int replaced by arena-owned
-// fixed-width storage. Equivalence is structural — each replacement
-// computes the identical integer (and is property-tested to) — and
-// enforced end to end by the golden tests against ReferenceMVM.
-func (c *Cluster) mulVecFix(x []float64) ([]float64, error) {
-	b := c.block
-	if len(x) != b.N {
-		return nil, fmt.Errorf("core: vector length %d != block cols %d", len(x), b.N)
-	}
-	ar := &c.arena
-	if err := SliceVectorQuantInto(&ar.vs, x, c.cfg.VectorMaxPad, c.cfg.VectorQuant); err != nil {
-		return nil, err
-	}
-	vs := &ar.vs
-	c.stats.Ops++
-	c.resetPerCall()
-
-	y := ar.y
-	for i := range y {
-		y[i] = 0
-	}
-	if vs.Code.Empty || b.Code.Empty {
-		return y, nil // zero vector or zero block
-	}
-	scale := CombinedScale(b.Code, vs.Code)
-	c.stats.VectorSlicesTotal += vs.Width
-	c.stats.MinSettleSlice = vs.Width
-
-	run := ar.run
-	for i := range run {
-		run[i].SetZero()
-	}
-	settled := ar.settled
-	for i := range settled {
-		settled[i] = false
-	}
-	unsettled := b.M
-
-	applied := 0
-	for j := vs.Width - 1; j >= 0 && unsettled > 0; j-- {
-		slice := vs.Slices[j]
-		popX := vs.Pop[j]
-		applied++
-		c.stats.VectorSlicesApplied++
-		c.stats.CrossbarActivations += uint64(c.nPlanes)
-		c.stats.MinSettleSlice = j
-
-		if popX == 0 {
-			// An all-zero slice contributes nothing but still counts as a
-			// (cheap) application; settled columns are re-checked below
-			// because the remaining-weight bound shrank.
-			c.checkSettleFix(&unsettled, y, j, scale, applied)
-			continue
-		}
-		// De-bias term B·pop(x_j): the bias is 2^Width, so the product
-		// is a pure shift of the popcount.
-		ar.biased.SetUint(uint64(popX))
-		ar.biased.Lsh(uint(b.Code.Width))
-		negWeight := vs.Weight(j)
-
-		for i := 0; i < b.M; i++ {
-			if settled[i] {
-				c.stats.ConversionsSkipped += uint64(c.nPlanes)
-				continue
-			}
-			// Shift-and-add reduction across planes: counts land at bit
-			// position plane·bitsPerCell, accumulated in raw words.
-			for w := range c.redWords {
-				c.redWords[w] = 0
-			}
-			for t := 0; t < c.nPlanes; t++ {
-				res := c.planes[t].Column(i, slice, popX, c.arr, c.adc)
-				c.stats.Conversions++
-				c.stats.ConversionBits += uint64(res.BitsConverted)
-				addShifted(c.redWords, uint(t*c.planeBits), uint64(res.Count))
-			}
-			c.decodeAccumulate(i, j, popX, negWeight)
-		}
-		c.checkSettleFix(&unsettled, y, j, scale, applied)
-	}
-	// Anything still unsettled after the last slice is exact.
-	for i := 0; i < b.M; i++ {
-		if !settled[i] {
-			y[i] = run[i].Round(scale, c.cfg.Rounding)
-			c.stats.ColumnSlicesUsed[i] = vs.Width
-		}
-	}
-	return y, nil
-}
-
-// decodeAccumulate is the generic decode of one (row, slice) reduction
-// accumulated in c.redWords: AN check (and rare table correction),
-// de-bias against the prepared ar.biased term, and signed accumulation
-// into row i's running sum. Shared verbatim by the generic kernel's
-// inner loop and the lane kernel's multi-word and correction paths.
+// decodeAccumulate is the multi-word decode of one (row, slice)
+// reduction accumulated in c.redWords: AN check (and rare table
+// correction), de-bias against the prepared ar.biased term, and signed
+// accumulation into row i's running sum. The lane kernel's multi-word
+// and correction paths run it.
 func (c *Cluster) decodeAccumulate(i, j, popX int, negWeight bool) {
 	ar := &c.arena
 	// AN decode: P = A·Σ U·x must be divisible by A. Copy the
@@ -256,7 +164,7 @@ func settleImpossible(runBits, rowBits, j, scale int) bool {
 }
 
 // checkSettleFix applies the early-termination test of checkSettleRef to
-// every unsettled row (the slice-major kernels' per-slice sweep).
+// every unsettled row (the lane kernel's per-slice sweep).
 func (c *Cluster) checkSettleFix(unsettled *int, y []float64, j, scale, applied int) {
 	if c.cfg.DisableEarlyTermination || j == 0 {
 		return

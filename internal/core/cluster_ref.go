@@ -8,11 +8,12 @@ import (
 )
 
 // This file retains the original big.Int MulVec implementation as the
-// semantic oracle for the fixed-width hot path (select it with
-// ClusterConfig.ReferenceMVM). The golden equivalence tests run every
-// configuration through both paths and require bit-identical outputs
-// and identical statistics, so this code must stay behaviorally frozen:
-// only allocation hoists that cannot change values are applied here.
+// semantic oracle for the exact and lane kernels; only package core's
+// tests build clusters on it (newCluster with reference set). The
+// kernel equivalence suite runs every configuration through a kernel
+// and the reference and requires bit-identical outputs and identical
+// statistics, so this code must stay behaviorally frozen: only
+// allocation hoists that cannot change values are applied here.
 
 // bigAN is ancode.A as a big.Int, hoisted out of the per-row DisableAN
 // division (it was rebuilt for every output row).

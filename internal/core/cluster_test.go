@@ -46,17 +46,49 @@ func randVec(rng *rand.Rand, n, expSpread int, fill float64) []float64 {
 	return x
 }
 
+// mustCluster programs dense values into a cluster on the kernel
+// NewCluster selects.
 func mustCluster(t *testing.T, vals [][]float64, cfg ClusterConfig) *Cluster {
+	t.Helper()
+	return buildCluster(t, vals, cfg, false)
+}
+
+// buildCluster is mustCluster, or with reference set a cluster on the
+// big.Int reference MVM.
+func buildCluster(t *testing.T, vals [][]float64, cfg ClusterConfig, reference bool) *Cluster {
 	t.Helper()
 	b, err := NewBlockDense(vals, MaxPadBits)
 	if err != nil {
 		t.Fatalf("NewBlockDense: %v", err)
 	}
-	c, err := NewCluster(b, cfg)
+	c, err := newCluster(b, cfg, reference)
 	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
+		t.Fatalf("newCluster(reference=%v): %v", reference, err)
 	}
 	return c
+}
+
+// TestNewClusterRefusesNarrowWords: the kernels and the reference build
+// on 64-bit words, so a build whose big.Word is narrower must refuse to
+// program a cluster instead of returning wrong sums. It runs on 32-bit
+// builds (GOARCH=386) and skips elsewhere.
+func TestNewClusterRefusesNarrowWords(t *testing.T) {
+	if wordBits == 64 {
+		t.Skip("clusters are supported on 64-bit words")
+	}
+	blk, err := NewBlockDense([][]float64{{1, -2.5}, {0.75, 4}}, MaxPadBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inject := range []bool{false, true} {
+		cfg := DefaultClusterConfig()
+		cfg.InjectErrors = inject
+		for _, reference := range []bool{false, true} {
+			if _, err := newCluster(blk, cfg, reference); err == nil {
+				t.Errorf("inject=%v reference=%v: a cluster was programmed on %d-bit words", inject, reference, wordBits)
+			}
+		}
+	}
 }
 
 // TestClusterMatchesExactDot is the headline correctness property: the
@@ -452,7 +484,7 @@ func TestDeviceParamsValidate(t *testing.T) {
 func TestAddShiftedExactBoundary(t *testing.T) {
 	// Two words, both saturated low bits: adding v<<shift straddles the
 	// word boundary and the carry chain ends exactly at words[1].
-	words := []big.Word{^big.Word(0), 0x7fff_ffff_ffff_ffff}
+	words := []big.Word{^big.Word(0), ^big.Word(0) >> 1}
 	want := new(big.Int).SetBits(append([]big.Word(nil), words...))
 	v := uint64(0x3)
 	shift := uint(63)

@@ -17,12 +17,12 @@ import (
 // place on that storage and perform zero heap allocations once the
 // backing slices have reached steady-state capacity. math/big is still
 // the semantic reference: every operation is property-tested against
-// the equivalent big.Int computation, and the cluster keeps a retained
-// big.Int MulVec path (ClusterConfig.ReferenceMVM) for bit-equivalence
-// golden tests.
+// the equivalent big.Int computation, and the kernels are held bit for
+// bit to the big.Int reference MulVec of cluster_ref.go.
 
-// wordBits is the size of a big.Word in bits (64 on every platform the
-// module targets; the kernel also handles 32-bit words).
+// wordBits is the size of a big.Word in bits. The kernels assume 64
+// (two-word and four-word register arithmetic, 64-bit divides), and
+// NewCluster refuses any other build.
 const wordBits = bits.UintSize
 
 // Fix is a fixed-capacity signed integer: an explicit sign over a
@@ -63,13 +63,8 @@ func (z *Fix) SetZero() {
 func (z *Fix) SetUint(v uint64) {
 	z.neg = false
 	z.w = z.w[:0]
-	for v != 0 {
+	if v != 0 {
 		z.w = append(z.w, big.Word(v))
-		if wordBits >= 64 {
-			v = 0
-		} else {
-			v >>= wordBits
-		}
 	}
 }
 
@@ -298,16 +293,9 @@ func (z *Fix) DivModSmall(d uint64) uint64 {
 		panic("core: fixint division by zero")
 	}
 	var rem uint64
-	if wordBits == 64 {
-		for i := len(z.w) - 1; i >= 0; i-- {
-			q, r := bits.Div64(rem, uint64(z.w[i]), d)
-			z.w[i], rem = big.Word(q), r
-		}
-	} else {
-		for i := len(z.w) - 1; i >= 0; i-- {
-			cur := rem<<wordBits | uint64(z.w[i])
-			z.w[i], rem = big.Word(cur/d), cur%d
-		}
+	for i := len(z.w) - 1; i >= 0; i-- {
+		q, r := bits.Div64(rem, uint64(z.w[i]), d)
+		z.w[i], rem = big.Word(q), r
 	}
 	z.trim()
 	return rem
@@ -316,8 +304,7 @@ func (z *Fix) DivModSmall(d uint64) uint64 {
 // setShifted128 sets z to ±(hi·2^64 + lo)·2^shift, writing the three
 // destination words directly instead of going through SetUint+Lsh — the
 // bridge from the specialized 1-/2-word decode paths into the
-// arbitrary-width running sums. Requires 64-bit big.Words; the kernel
-// selector only enables the narrow decode paths on such platforms.
+// arbitrary-width running sums.
 func (z *Fix) setShifted128(hi, lo uint64, shift uint, neg bool) {
 	if hi == 0 && lo == 0 {
 		z.SetZero()
@@ -341,7 +328,6 @@ func (z *Fix) setShifted128(hi, lo uint64, shift uint, neg bool) {
 }
 
 // setInt256 sets z to the four-word two's-complement value a.
-// Requires 64-bit big.Words, like setShifted128.
 func (z *Fix) setInt256(a int256) {
 	z.neg = int64(a[3]) < 0
 	if z.neg {

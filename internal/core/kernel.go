@@ -9,46 +9,32 @@ import (
 )
 
 // This file implements the lane kernel, the MVM of clusters with error
-// injection: the slice-major traversal of the generic loop in
-// cluster_fix.go (vector slices outer, most significant first; output
-// rows inner; settle checks after every slice), with each (row, slice)
-// reduction Σ_t count_t·2^(t·planeBits) taken from a mirror built once
-// at NewCluster and shared by forks. Every plane's count must pass
-// through the device-error model in the reference draw order, so each
-// row's per-plane counts are popcounted from an interleaved bit-plane
-// mirror (countLanes, planeCounts) and shift-added. The reduction then
-// runs through one- or two-word AN-divide and de-bias arithmetic when
-// the cluster's reduction bound allows, and the generic multi-word
-// decode otherwise.
+// injection. It walks the slices in the order of the big.Int reference
+// of cluster_ref.go (vector slices outer, most significant first;
+// output rows inner; settle checks after every slice), with each
+// (row, slice) reduction Σ_t count_t·2^(t·planeBits) taken from a
+// mirror built once at NewCluster and shared by forks. Every plane's
+// count must pass through the device-error model in the reference draw
+// order, so each row's per-plane counts are popcounted from an
+// interleaved bit-plane mirror (countLanes, planeCounts) and
+// shift-added. The reduction then runs through one- or two-word
+// AN-divide and de-bias arithmetic when the cluster's reduction bound
+// allows, and the multi-word decode otherwise.
 //
-// The kernel is bit-identical to the generic loop (and hence to the
-// big.Int reference of cluster_ref.go) in outputs and statistics; the
-// golden equivalence suite and the kernel property tests enforce this
-// across rounding modes, AN, early termination, CIC, multi-bit cells
-// and error injection.
-
-// ClusterConfig.Kernel force-knob values.
-const (
-	// KernelAuto (the empty string) selects the exact kernel without
-	// error injection and the lane kernel with it.
-	KernelAuto = ""
-	// KernelGeneric forces the scalar per-plane loop of cluster_fix.go.
-	KernelGeneric = "generic"
-)
+// The kernel is bit-identical to the reference in outputs and
+// statistics; the kernel equivalence suite and the injected-stream
+// goldens enforce this across rounding modes, AN, early termination,
+// CIC, multi-bit cells and error injection.
 
 // decodeWords selects the lane kernel's decode-width specialization for
 // this cluster's static shape: 1 = single 64-bit word, 2 = 128-bit pair,
-// 0 = generic multi-word. The per-(row, slice) reduction is
+// 0 = multi-word. The per-(row, slice) reduction is
 // Σ_t count_t·2^(t·planeBits) with count_t ≤ N·(2^B − 1) — the device
 // model clamps noisy readouts to the same physical rail — so the exact
 // bound is N·(2^B − 1)·(2^(nPlanes·B) − 1)/(2^B − 1). With multi-bit
 // cells this can exceed 2^sumBits, so the gate uses the geometric
-// bound, not sumBits. The narrow paths build words with 64-bit two-word
-// arithmetic and therefore also require 64-bit big.Words.
+// bound, not sumBits.
 func (c *Cluster) decodeWords() int {
-	if wordBits != 64 {
-		return 0
-	}
 	lmax := int64(1)<<c.planeBits - 1
 	maxRed := new(big.Int).Lsh(big.NewInt(1), uint(c.nPlanes*c.planeBits))
 	maxRed.Sub(maxRed, big.NewInt(1))
@@ -63,18 +49,16 @@ func (c *Cluster) decodeWords() int {
 	return 0
 }
 
-// KernelName reports the MVM kernel variant selected for this cluster,
-// with the lane kernel's decode width ("exact", "lanes/64",
-// "lanes/128", "lanes/multi", "generic", "reference") — diagnostics for
-// benchmarks and equivalence tests.
+// KernelName reports the MVM path this cluster runs, with the lane
+// kernel's decode width ("exact", "lanes/64", "lanes/128",
+// "lanes/multi", or "reference" for a test's oracle cluster) —
+// diagnostics for benchmarks and equivalence tests.
 func (c *Cluster) KernelName() string {
 	switch {
-	case c.cfg.ReferenceMVM:
-		return "reference"
 	case c.exact:
 		return "exact"
 	case c.packed == nil:
-		return KernelGeneric
+		return "reference"
 	}
 	switch c.decWords {
 	case 1:
@@ -194,7 +178,7 @@ func (c *Cluster) laneMirror() *packedPlanes {
 }
 
 // mulVecLanes is the lane kernel: the exact traversal order of
-// mulVecFix — vector slices outer (most significant first), output rows
+// mulVecRef — vector slices outer (most significant first), output rows
 // inner, settle checks after every slice — with each row's reduction
 // taken from one fused pass over the row's lanes and the decode
 // specialized to the cluster's reduction width. It consumes the
@@ -437,8 +421,8 @@ func (c *Cluster) reduce128() (hi, lo uint64) {
 }
 
 // reduceWords is the multi-word fallback: per-plane counts shift-added
-// into the cluster's raw reduction accumulator, as the generic kernel
-// does plane by plane.
+// into the cluster's raw reduction accumulator, as the reference does
+// plane by plane.
 func (c *Cluster) reduceWords() {
 	for w := range c.redWords {
 		c.redWords[w] = 0
@@ -451,7 +435,7 @@ func (c *Cluster) reduceWords() {
 
 // apply64 decodes one single-word reduction and accumulates its signed
 // de-biased contribution into row i's running sum: the specialized form
-// of the generic AN-divide / de-bias / shift-add sequence.
+// of decodeAccumulate's AN-divide / de-bias / shift-add sequence.
 func (c *Cluster) apply64(i, j, popX int, negWeight bool, red uint64) {
 	ar := &c.arena
 	q, rem := red/ancode.A, red%ancode.A
@@ -519,9 +503,9 @@ func (c *Cluster) apply128(i, j, popX int, negWeight bool, hi, lo uint64) {
 	ar.run[i].Add(&ar.contrib)
 }
 
-// applySlow routes a nonzero AN syndrome through the generic correction decode: the raw reduction is
-// re-materialized into redWords and handed to decodeAccumulate, which
-// runs the table corrector exactly as the generic kernel would.
+// applySlow routes a nonzero AN syndrome through the multi-word
+// correction decode: the raw reduction is re-materialized into redWords
+// and handed to decodeAccumulate, which runs the table corrector.
 func (c *Cluster) applySlow(i, j, popX int, negWeight bool, hi, lo uint64) {
 	ar := &c.arena
 	for w := range c.redWords {

@@ -12,14 +12,14 @@ import (
 	"memsci/internal/matgen"
 )
 
-// TestKernelEquivalenceProperty is the packed kernel's golden gate:
-// across random hardware configurations — all rounding modes, AN on/off,
-// early termination on/off, CIC on/off, headstart on/off, 1- and 2-bit
-// cells, matrix/vector quantization, error injection (lane reduction)
-// or none (codeword reduction), and exponent spreads that exercise the
-// 64-bit, 128-bit and multi-word decode tiers — the packed kernel must
-// produce bit-identical outputs and DeepEqual-identical statistics to
-// the forced generic kernel, call after call. At least 4000 vector
+// TestKernelEquivalenceProperty is the kernels' golden gate: across
+// random hardware configurations — all rounding modes, AN on/off, early
+// termination on/off, CIC on/off, headstart on/off, 1- and 2-bit cells,
+// matrix/vector quantization, error injection (lane kernel) or none
+// (exact kernel), and exponent spreads that exercise the 64-bit,
+// 128-bit and multi-word decode tiers — the kernel NewCluster selects
+// must produce bit-identical outputs and DeepEqual-identical statistics
+// to the big.Int reference, call after call. At least 4000 vector
 // comparisons are required.
 func TestKernelEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(991))
@@ -59,7 +59,7 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewBlockQuant: %v", trial, err)
 		}
-		gen, kc := kernelPair(t, blk, cfg)
+		ref, kc := kernelPair(t, blk, cfg)
 		for call := 0; call < 8; call++ {
 			var x []float64
 			if call == 3 {
@@ -67,7 +67,7 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 			} else {
 				x = randVec(rng, n, spread, 0.8)
 			}
-			if assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("trial %d call %d", trial, call)) {
+			if assertKernelsAgree(t, ref, kc, x, fmt.Sprintf("trial %d call %d", trial, call)) {
 				cases++
 			}
 		}
@@ -77,53 +77,46 @@ func TestKernelEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// kernelPair programs blk twice under cfg: once with the generic kernel
-// forced (the oracle) and once with the automatic packed kernel.
-func kernelPair(t *testing.T, blk *Block, cfg ClusterConfig) (gen, packed *Cluster) {
+// kernelPair programs blk twice under cfg: once on the big.Int
+// reference (the oracle) and once on the kernel NewCluster selects.
+func kernelPair(t *testing.T, blk *Block, cfg ClusterConfig) (ref, kc *Cluster) {
 	t.Helper()
-	genCfg := cfg
-	genCfg.Kernel = KernelGeneric
-	gen, err := NewCluster(blk, genCfg)
+	ref, err := newCluster(blk, cfg, true)
 	if err != nil {
-		t.Fatalf("NewCluster(generic): %v", err)
+		t.Fatalf("newCluster(reference): %v", err)
 	}
-	cfg.Kernel = KernelAuto
-	if packed, err = NewCluster(blk, cfg); err != nil {
-		t.Fatalf("NewCluster(auto): %v", err)
+	if kc, err = NewCluster(blk, cfg); err != nil {
+		t.Fatalf("NewCluster: %v", err)
 	}
-	return gen, packed
+	return ref, kc
 }
 
 // assertKernelsAgree applies x to both clusters and requires matching
 // errors, Float64bits-equal outputs and DeepEqual cumulative statistics.
 // It reports whether a comparison of outputs took place (false when both
 // calls failed alike).
-func assertKernelsAgree(t *testing.T, gen, kc *Cluster, x []float64, what string) bool {
+func assertKernelsAgree(t *testing.T, ref, kc *Cluster, x []float64, what string) bool {
 	t.Helper()
-	yg, eg := gen.MulVec(x)
-	var want []float64
-	if eg == nil {
-		want = cloneF64(yg)
-	}
+	yr, er := ref.MulVec(x)
 	yk, ek := kc.MulVec(x)
-	if (eg == nil) != (ek == nil) {
-		t.Fatalf("%s: error mismatch generic=%v %s=%v", what, eg, kc.KernelName(), ek)
+	if (er == nil) != (ek == nil) {
+		t.Fatalf("%s: error mismatch reference=%v %s=%v", what, er, kc.KernelName(), ek)
 	}
-	if eg != nil {
+	if er != nil {
 		return false
 	}
-	if !bitsEqual(yk, want) {
-		t.Fatalf("%s (%s, cfg %+v): outputs differ\nkernel  %v\ngeneric %v",
-			what, kc.KernelName(), kc.cfg, yk, want)
+	if !bitsEqual(yk, yr) {
+		t.Fatalf("%s (%s, cfg %+v): outputs differ\nkernel    %v\nreference %v",
+			what, kc.KernelName(), kc.cfg, yk, yr)
 	}
-	if ks, gs := *kc.Stats(), *gen.Stats(); !reflect.DeepEqual(ks, gs) {
-		t.Fatalf("%s (%s, cfg %+v): stats differ\nkernel  %+v\ngeneric %+v",
-			what, kc.KernelName(), kc.cfg, ks, gs)
+	if ks, rs := *kc.Stats(), *ref.Stats(); !reflect.DeepEqual(ks, rs) {
+		t.Fatalf("%s (%s, cfg %+v): stats differ\nkernel    %+v\nreference %+v",
+			what, kc.KernelName(), kc.cfg, ks, rs)
 	}
 	return true
 }
 
-// TestKernelEquivalenceRealSizes runs the packed-vs-generic comparison at
+// TestKernelEquivalenceRealSizes runs the kernel-vs-reference comparison at
 // block shapes whose inputs span one, two and several 64-bit slice words
 // (N = 63, 64, 65, 128, 129, 256, M up to 256), with and without error
 // injection, plus the two serving shapes of the end-to-end benchmark: a
@@ -175,7 +168,7 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 			cfg.Rounding = modes[si%len(modes)]
 			cfg.InjectErrors = inject
 			cfg.Seed = int64(77 + si)
-			gen, kc := kernelPair(t, sh.blk, cfg)
+			ref, kc := kernelPair(t, sh.blk, cfg)
 			want := "exact"
 			if inject {
 				want = "lanes/"
@@ -187,7 +180,7 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 			tiers[got] = true
 			for call := 0; call < 3; call++ {
 				x := randVec(rng, sh.blk.N, sh.spread, 0.9)
-				assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("%s inject=%v call %d", sh.name, inject, call))
+				assertKernelsAgree(t, ref, kc, x, fmt.Sprintf("%s inject=%v call %d", sh.name, inject, call))
 			}
 		}
 	}
@@ -198,42 +191,29 @@ func TestKernelEquivalenceRealSizes(t *testing.T) {
 	}
 }
 
-// TestKernelSelection pins the dispatch policy and its validation: auto
-// selects the packed kernel, reducing by codewords without injection and
-// by lanes with it; the force-knob accepts exactly the documented names;
-// decode width follows the reduction bound.
+// TestKernelSelection pins the dispatch policy: NewCluster selects the
+// exact kernel without injection and the lane kernel with it, only a
+// test's reference cluster runs the big.Int path, and the lane decode
+// width follows the reduction bound.
 func TestKernelSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(992))
 	vals := randBlockVals(rng, 4, 6, 10, 1)
 
 	if got := mustCluster(t, vals, DefaultClusterConfig()).KernelName(); got != "exact" {
-		t.Errorf("auto kernel without injection = %q, want exact", got)
+		t.Errorf("kernel without injection = %q, want exact", got)
 	}
 	inj := DefaultClusterConfig()
 	inj.InjectErrors = true
 	if got := mustCluster(t, vals, inj).KernelName(); !strings.HasPrefix(got, "lanes/") {
-		t.Errorf("auto kernel with injection = %q, want lanes/*", got)
+		t.Errorf("kernel with injection = %q, want lanes/*", got)
 	}
-	ref := DefaultClusterConfig()
-	ref.ReferenceMVM = true
-	if got := mustCluster(t, vals, ref).KernelName(); got != "reference" {
-		t.Errorf("reference cluster reports kernel %q", got)
-	}
-	forced := DefaultClusterConfig()
-	forced.Kernel = KernelGeneric
-	if got := mustCluster(t, vals, forced).KernelName(); got != "generic" {
-		t.Errorf("forced generic reports kernel %q", got)
-	}
-
-	blk, err := NewBlockDense(vals, MaxPadBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"vectorized", "swar", "blocked"} { // not variants
-		bad := DefaultClusterConfig()
-		bad.Kernel = name
-		if _, err := NewCluster(blk, bad); err == nil {
-			t.Errorf("unknown kernel name %q accepted", name)
+	for _, cfg := range []ClusterConfig{DefaultClusterConfig(), inj} {
+		ref := buildCluster(t, vals, cfg, true)
+		if got := ref.KernelName(); got != "reference" {
+			t.Errorf("reference cluster (inject=%v) reports kernel %q", cfg.InjectErrors, got)
+		}
+		if got := ref.Fork().KernelName(); got != "reference" {
+			t.Errorf("fork of a reference cluster (inject=%v) reports kernel %q", cfg.InjectErrors, got)
 		}
 	}
 
@@ -288,16 +268,11 @@ func mustClusterQuant(t *testing.T, vals [][]float64, cfg ClusterConfig) *Cluste
 // every kernel variant: a warm cluster must run MulVec without a single
 // heap allocation regardless of which kernel and reduction were selected.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	for _, name := range []string{"generic", "exact", "lanes"} {
+	for _, name := range []string{"exact", "lanes"} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			cfg := DefaultClusterConfig()
-			switch name {
-			case "generic":
-				cfg.Kernel = KernelGeneric
-			case "lanes":
-				cfg.InjectErrors = true
-			}
+			cfg.InjectErrors = name == "lanes"
 			c := mustCluster(t, randBlockVals(rng, 6, 8, 14, 0.9), cfg)
 			if got := c.KernelName(); !strings.HasPrefix(got, name) {
 				t.Fatalf("cluster runs kernel %q, want %s", got, name)
@@ -329,9 +304,6 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 // big.Int arithmetic: ±(hi·2^64 + lo)·2^shift for random operands,
 // shifts across word boundaries, and the zero edge.
 func TestSetShifted128(t *testing.T) {
-	if wordBits != 64 {
-		t.Skip("setShifted128 requires 64-bit big.Words")
-	}
 	rng := rand.New(rand.NewSource(993))
 	f := newFixWords(8)
 	want, got, tmp := new(big.Int), new(big.Int), new(big.Int)
@@ -484,7 +456,7 @@ func randBelowBits(rng *rand.Rand, bits int) *big.Int {
 // row, the running sum after slice j is rebuilt with big.Int as
 // 2^j·Σ_k F_ik·⌊X_k/2^j⌋ and put to the reference interval test from the
 // top slice down, and the first j that settles must be the one the
-// kernel reports (ColumnSlicesUsed = W − j). The generic walk must agree
+// kernel reports (ColumnSlicesUsed = W − j). The reference must agree
 // in outputs and statistics as well. Covers all four rounding modes,
 // headstart on and off, AN on and off, quantized configurations, empty
 // rows, zero vectors, products near overflow and in the subnormal
@@ -509,7 +481,7 @@ func TestKernelEquivalenceSettleReplay(t *testing.T) {
 			clear(vals[rng.Intn(m)]) // an empty row
 		}
 		blk := blockQuant(t, vals, q)
-		gen, kc := kernelPair(t, blk, cfg)
+		ref, kc := kernelPair(t, blk, cfg)
 		if got := kc.KernelName(); got != "exact" {
 			t.Fatalf("trial %d: kernel %q, want exact", trial, got)
 		}
@@ -527,7 +499,7 @@ func TestKernelEquivalenceSettleReplay(t *testing.T) {
 				}
 			}
 			what := fmt.Sprintf("trial %d call %d", trial, call)
-			assertKernelsAgree(t, gen, kc, x, what)
+			assertKernelsAgree(t, ref, kc, x, what)
 			want := replaySettle(t, blk, x, cfg)
 			got := kc.Stats().ColumnSlicesUsed
 			for i := range want {
@@ -604,7 +576,7 @@ func blockQuant(t *testing.T, vals [][]float64, q Quant) *Block {
 // spread runs from 100 bits to 2,000 (VectorMaxPad allows 2,100): the
 // exact kernel's row sums then leave its four-word register accumulator
 // for the multi-word one, and the walk's running sums span dozens of
-// words. Outputs and statistics must match the generic walk, with and
+// words. Outputs and statistics must match the reference, with and
 // without early termination, and so must the lane kernel's under
 // injection.
 func TestKernelEquivalenceWideVectors(t *testing.T) {
@@ -623,7 +595,7 @@ func TestKernelEquivalenceWideVectors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen, kc := kernelPair(t, blk, cfg)
+			ref, kc := kernelPair(t, blk, cfg)
 			for call := 0; call < 4; call++ {
 				x := randVec(rng, n, min(spread, 2040), 0.9)
 				// Pin the spread: the extremes of the range are present.
@@ -633,7 +605,7 @@ func TestKernelEquivalenceWideVectors(t *testing.T) {
 				if call == 3 {
 					x[0] = 0 // only the top of the range
 				}
-				assertKernelsAgree(t, gen, kc, x, fmt.Sprintf("spread %d inject=%v call %d", spread, inject, call))
+				assertKernelsAgree(t, ref, kc, x, fmt.Sprintf("spread %d inject=%v call %d", spread, inject, call))
 				if kc.exact {
 					if kc.arena.exact.narrow {
 						narrow++
@@ -654,9 +626,6 @@ func TestKernelEquivalenceWideVectors(t *testing.T) {
 // into accumulators whose words are often all ones so that carries run
 // past the four-word window.
 func TestKernelEquivalenceAddTerm(t *testing.T) {
-	if wordBits != 64 {
-		t.Skip("addTerm requires 64-bit big.Words")
-	}
 	rng := rand.New(rand.NewSource(999))
 	ws := make([]big.Word, 12)
 	want, got, term := new(big.Int), new(big.Int), new(big.Int)
@@ -696,9 +665,6 @@ func TestKernelEquivalenceAddTerm(t *testing.T) {
 
 // TestKernelEquivalenceSetInt256 checks the four-word two's-complement bridge into Fix.
 func TestKernelEquivalenceSetInt256(t *testing.T) {
-	if wordBits != 64 {
-		t.Skip("setInt256 requires 64-bit big.Words")
-	}
 	rng := rand.New(rand.NewSource(1000))
 	mod := new(big.Int).Lsh(big.NewInt(1), 256)
 	f := newFixWords(4)

@@ -137,7 +137,7 @@ func TestKernelEquivalenceStoredOnes(t *testing.T) {
 				}
 				what := fmt.Sprintf("block %d (%dx%d) B=%d CIC=%v", bi, blk.M, blk.N, B, cic)
 				if c.planes != nil {
-					t.Fatalf("%s: error-free auto cluster built %d planes", what, len(c.planes))
+					t.Fatalf("%s: error-free cluster built %d planes", what, len(c.planes))
 				}
 				want := cellByCellPlanes(blk, B, cic)
 				if len(want) != c.nPlanes {
@@ -166,26 +166,18 @@ func TestKernelEquivalenceWordFilledPlanes(t *testing.T) {
 	for bi, blk := range programCases(t) {
 		for _, B := range []int{1, 2, 3} {
 			for fi, f := range faults {
-				for _, kind := range []string{"generic", "reference", "inject"} {
+				for _, kind := range []string{"reference", "inject"} {
 					if kind != "inject" && fi > 0 {
 						continue // static faults are sampled only under injection
 					}
 					cfg := DefaultClusterConfig()
+					if kind == "inject" {
+						cfg = faultCfg(f)
+					}
 					cfg.Device.BitsPerCell = B
 					cfg.Seed = int64(300 + bi)
 					cfg.CIC = bi%2 == 0
-					switch kind {
-					case "generic":
-						cfg.Kernel = KernelGeneric
-					case "reference":
-						cfg.ReferenceMVM = true
-					case "inject":
-						cfg = faultCfg(f)
-						cfg.Device.BitsPerCell = B
-						cfg.Seed = int64(300 + bi)
-						cfg.CIC = bi%2 == 0
-					}
-					c, err := NewCluster(blk, cfg)
+					c, err := newCluster(blk, cfg, kind == "reference")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -244,12 +236,11 @@ func comparePlanes(t *testing.T, what string, c *Cluster, want []*xbar.Plane) {
 }
 
 // TestKernelEquivalenceExactClustersHoldNoPlanes pins where planes and
-// the slice walk's arena exist: an error-free cluster under the
-// automatic kernel, its forks (and their forks) and a re-programming of
-// the same block — what refresh does — build no bit plane, no per-row
-// running sums, vector bitmaps, reduction scratch or AN corrector, and
-// keep the exact kernel, while
-// the generic, reference and injected clusters keep their planes.
+// the slice walk's arena exist: an error-free cluster, its forks (and
+// their forks) and a re-programming of the same block — what refresh
+// does — build no bit plane, no per-row running sums, vector bitmaps,
+// reduction scratch or AN corrector, and keep the exact kernel, while
+// the reference and injected clusters keep their planes.
 func TestKernelEquivalenceExactClustersHoldNoPlanes(t *testing.T) {
 	narrow := DefaultClusterConfig()
 	narrow.MatrixQuant = Quant{Mant: 4}
@@ -283,17 +274,10 @@ func TestKernelEquivalenceExactClustersHoldNoPlanes(t *testing.T) {
 		}
 	}
 	vals := [][]float64{{1, 0, -3.5}, {0, 2, 0.25}}
-	for _, kind := range []string{"generic", "reference", "inject"} {
+	for _, kind := range []string{"reference", "inject"} {
 		cfg := DefaultClusterConfig()
-		switch kind {
-		case "generic":
-			cfg.Kernel = KernelGeneric
-		case "reference":
-			cfg.ReferenceMVM = true
-		case "inject":
-			cfg.InjectErrors = true
-		}
-		c := mustCluster(t, vals, cfg)
+		cfg.InjectErrors = kind == "inject"
+		c := buildCluster(t, vals, cfg, kind == "reference")
 		if len(c.planes) != c.nPlanes || len(c.Fork().planes) != c.nPlanes {
 			t.Errorf("%s cluster: %d planes (fork %d), want %d", kind, len(c.planes), len(c.Fork().planes), c.nPlanes)
 		}

@@ -160,9 +160,7 @@ func TestClusterQuantGoldenEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: NewCluster(fix): %v", p.name, err)
 					}
-					refCfg := cfg
-					refCfg.ReferenceMVM = true
-					refC, err := NewCluster(blk, refCfg)
+					refC, err := newCluster(blk, cfg, true)
 					if err != nil {
 						t.Fatalf("%s: NewCluster(ref): %v", p.name, err)
 					}

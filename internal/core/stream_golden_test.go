@@ -30,9 +30,9 @@ type injectedStreamCase struct {
 // outcome counts. The golden hashes were recorded with the device
 // sampler drawing from math/rand's *rand.Rand, so any change to the
 // stream, to the order of the draws or to the float arithmetic around
-// them fails here, on both the lane kernel and the generic loop. The
-// lane-vs-generic suites cannot see such a change: both kernels share
-// the sampler.
+// them fails here, on both the lane kernel and the big.Int reference.
+// The kernel-vs-reference suites cannot see such a change: both paths
+// share the sampler.
 func TestKernelEquivalenceInjectedStream(t *testing.T) {
 	prog := func(sigma float64) func(*device.Params) {
 		return func(p *device.Params) { p.ProgError = sigma }
@@ -59,10 +59,10 @@ func TestKernelEquivalenceInjectedStream(t *testing.T) {
 	}
 	var fired, clamped bool
 	for _, tc := range cases {
-		for _, kernel := range []string{KernelAuto, KernelGeneric} {
-			got, st := runInjectedStream(t, tc, kernel)
+		for _, reference := range []bool{false, true} {
+			got, st := runInjectedStream(t, tc, reference)
 			if got != tc.want {
-				t.Errorf("%s (kernel %q): stream hash %#x, want %#x", tc.name, kernel, got, tc.want)
+				t.Errorf("%s (reference %v): stream hash %#x, want %#x", tc.name, reference, got, tc.want)
 			}
 			fired = fired || st.AN.Detected() > 0
 			clamped = clamped || st.SaturationClamps > 0
@@ -73,9 +73,10 @@ func TestKernelEquivalenceInjectedStream(t *testing.T) {
 	}
 }
 
-// runInjectedStream drives one scenario and returns its hash and the
-// merged statistics of every cluster it ran.
-func runInjectedStream(t *testing.T, tc injectedStreamCase, kernel string) (uint64, ComputeStats) {
+// runInjectedStream drives one scenario, on the lane kernel or the
+// reference, and returns its hash and the merged statistics of every
+// cluster it ran.
+func runInjectedStream(t *testing.T, tc injectedStreamCase, reference bool) (uint64, ComputeStats) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4242))
 	const n = 40
@@ -85,13 +86,12 @@ func runInjectedStream(t *testing.T, tc injectedStreamCase, kernel string) (uint
 		xs[i] = randVec(rng, n, 4, 0.9)
 	}
 	cfg := DefaultClusterConfig()
-	cfg.Kernel = kernel
 	cfg.InjectErrors = true
 	cfg.CIC = tc.cic
 	cfg.Seed = 9001
 	cfg.Device.BitsPerCell = tc.bits
 	tc.dev(&cfg.Device)
-	c := mustCluster(t, vals, cfg)
+	c := buildCluster(t, vals, cfg, reference)
 	c.SetAge(tc.age)
 
 	h := fnv.New64a()

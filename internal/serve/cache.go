@@ -149,15 +149,17 @@ type flight struct {
 }
 
 // entry is one cached matrix: the programmed base engine plus a lease
-// pool. slots holds poolSize tokens — the base engine plus nil
-// placeholders that are materialized into forks on first use — so
-// leasing is a channel receive and waiting for a free engine is
-// context-aware for free.
+// pool of at most poolSize engines. idle holds the engines not leased
+// out, the base engine first; spare holds one token per engine not yet
+// forked from it. A lease takes an idle engine when there is one and
+// forks only when none is, so sequential traffic reuses one engine;
+// waiting for a free engine is a context-aware channel receive.
 type entry struct {
 	key    string
 	weight int
 	base   *accel.Engine
-	slots  chan *accel.Engine
+	idle   chan *accel.Engine
+	spare  chan struct{}
 }
 
 // Lease is exclusive use of one programmed engine; callers must call
@@ -182,7 +184,7 @@ func (l *Lease) Release() {
 	if l == nil || l.released.Swap(true) {
 		return
 	}
-	l.ent.slots <- l.Engine
+	l.ent.idle <- l.Engine
 }
 
 // Acquire leases a programmed engine for the matrix, programming it on
@@ -269,28 +271,39 @@ func (c *Cache) program(key string, ccfg core.ClusterConfig, m *sparse.CSR) (*en
 		key:    key,
 		weight: weight,
 		base:   eng,
-		slots:  make(chan *accel.Engine, c.poolSize),
+		idle:   make(chan *accel.Engine, c.poolSize),
+		spare:  make(chan struct{}, c.poolSize-1),
 	}
-	ent.slots <- eng
+	ent.idle <- eng
 	for i := 1; i < c.poolSize; i++ {
-		ent.slots <- nil
+		ent.spare <- struct{}{}
 	}
 	return ent, nil
 }
 
-// lease takes a pool token, materializing nil placeholders into forks of
-// the entry's base engine (zero programming cost; see Engine.Fork).
+// lease takes an idle engine, or else a spare token, which it
+// materializes into a fork of the entry's base engine (zero programming
+// cost; see Engine.Fork), or else waits for a release. Spare tokens are
+// never returned, so once none is left a wait can only end in a release
+// or the context's end.
 func (c *Cache) lease(ctx context.Context, ent *entry, hit bool) (*Lease, error) {
+	var eng *accel.Engine
 	select {
-	case eng := <-ent.slots:
-		if eng == nil {
+	case eng = <-ent.idle:
+	default:
+		select {
+		case <-ent.spare:
 			eng = ent.base.Fork()
 			c.forks.Add(1)
+		default:
+			select {
+			case eng = <-ent.idle:
+			case <-ctx.Done():
+				return nil, fmt.Errorf("serve: waiting for engine lease on %s: %w", ent.key, ctx.Err())
+			}
 		}
-		return &Lease{Engine: eng, Key: ent.key, Hit: hit, ent: ent}, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("serve: waiting for engine lease on %s: %w", ent.key, ctx.Err())
 	}
+	return &Lease{Engine: eng, Key: ent.key, Hit: hit, ent: ent}, nil
 }
 
 // evictLocked drops least-recently-used entries until the cluster budget

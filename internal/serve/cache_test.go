@@ -187,6 +187,23 @@ func TestCacheBitIdenticalToFreshEngine(t *testing.T) {
 	}
 }
 
+// Sequential traffic on one matrix reuses the released engine: a lease
+// forks only when every engine already made is leased out.
+func TestCacheSequentialLeasesDoNotFork(t *testing.T) {
+	c := NewCache(CacheConfig{PoolSize: 4}, core.DefaultClusterConfig(), 1)
+	m := testMatrix(t, 128, 8)
+	for i := 0; i < 10; i++ {
+		l, err := c.Acquire(context.Background(), m.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Release()
+	}
+	if st := c.Stats(); st.Programmings != 1 || st.Forks != 0 {
+		t.Errorf("10 sequential leases: programmings %d forks %d, want 1 and 0", st.Programmings, st.Forks)
+	}
+}
+
 // Distinct leases on one entry run Apply concurrently (race-checked).
 func TestCacheLeasePoolParallelApplies(t *testing.T) {
 	c := NewCache(CacheConfig{PoolSize: 4}, core.DefaultClusterConfig(), 1)

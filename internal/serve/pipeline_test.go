@@ -155,7 +155,7 @@ func (c *Cache) leasedOut() int {
 	n := 0
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		ent := el.Value.(*entry)
-		n += cap(ent.slots) - len(ent.slots)
+		n += cap(ent.idle) - len(ent.idle) - len(ent.spare)
 	}
 	return n
 }
