@@ -343,15 +343,14 @@ func BenchmarkEngineSolveMonitor(b *testing.B) {
 			opt := solver.Options{Tol: 1e-8, MaxIter: 40}
 			var rec *obs.Recorder
 			if attach {
-				rec = obs.NewRecorder(eng.HWCounters)
+				rec = obs.NewRecorder(obs.NewSpan("bench", "solve"), eng.HWCounters)
 				opt.Monitor = rec.Observe
 			}
-			res, err := solver.CG(eng, rhs, opt)
-			if err != nil {
+			if _, err := solver.CG(eng, rhs, opt); err != nil {
 				b.Fatal(err)
 			}
 			if attach {
-				rec.Finish(res.Converged, res.Residual)
+				rec.Finish()
 			}
 		}
 	}

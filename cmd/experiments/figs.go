@@ -48,9 +48,11 @@ func measureIters(spec matgen.Spec, eopt *options) (int, error) {
 		return 0, err
 	}
 	opt := solver.Options{Tol: 1e-8, MaxIter: 3000}
+	var sp *obs.Span
 	var rec *obs.Recorder
 	if eopt.trace != "" {
-		rec = obs.NewRecorder(nil)
+		sp = obs.NewSpan("", "solve")
+		rec = obs.NewRecorder(sp, nil)
 		opt.Monitor = rec.Observe
 	}
 	op := solver.CSROperator{M: m}
@@ -68,10 +70,8 @@ func measureIters(spec matgen.Spec, eopt *options) (int, error) {
 		return 0, err
 	}
 	if rec != nil {
-		t := rec.Finish(res.Converged, res.Residual)
-		t.Label, t.Method, t.Backend = spec.Name+"/measure-iters", method, "csr"
-		t.Rows, t.NNZ = m.Rows(), m.NNZ()
-		if err := eopt.dumpTrace(t); err != nil {
+		rec.Finish()
+		if err := eopt.dumpTrace(sp, spec.Name+"/measure-iters", method, "csr"); err != nil {
 			return 0, err
 		}
 	}

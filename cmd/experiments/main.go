@@ -52,11 +52,11 @@ type options struct {
 	traceFile *os.File
 }
 
-// dumpTrace appends one solve's per-iteration JSONL rows to the -trace
-// file (lazily created; a no-op when -trace is unset). Serialized so
-// experiments that solve from worker goroutines interleave whole traces
-// rather than torn lines.
-func (o *options) dumpTrace(t *obs.SolveTrace) error {
+// dumpTrace appends one solve span's per-iteration JSONL rows to the
+// -trace file (lazily created; a no-op when -trace is unset). Serialized
+// so experiments that solve from worker goroutines interleave whole
+// traces rather than torn lines.
+func (o *options) dumpTrace(sp *obs.Span, label, method, backend string) error {
 	if o.trace == "" {
 		return nil
 	}
@@ -69,7 +69,7 @@ func (o *options) dumpTrace(t *obs.SolveTrace) error {
 		}
 		o.traceFile = f
 	}
-	return t.WriteJSONL(o.traceFile)
+	return sp.WriteJSONL(o.traceFile, label, method, backend)
 }
 
 func (o *options) closeTrace() {

@@ -31,9 +31,11 @@ func runMotivation(opt *options) error {
 	// the -trace flag is set (CSR-style operators: no hardware deltas).
 	tracedCG := func(op solver.Operator, label string) (*solver.Result, error) {
 		runOpt := sopt
+		var sp *obs.Span
 		var rec *obs.Recorder
 		if opt.trace != "" {
-			rec = obs.NewRecorder(nil)
+			sp = obs.NewSpan("", "solve")
+			rec = obs.NewRecorder(sp, nil)
 			runOpt.Monitor = rec.Observe
 		}
 		res, err := solver.CG(op, b, runOpt)
@@ -41,10 +43,8 @@ func runMotivation(opt *options) error {
 			return nil, err
 		}
 		if rec != nil {
-			tr := rec.Finish(res.Converged, res.Residual)
-			tr.Label, tr.Method, tr.Backend = label, "cg", "csr"
-			tr.Rows, tr.NNZ = m.Rows(), m.NNZ()
-			if err := opt.dumpTrace(tr); err != nil {
+			rec.Finish()
+			if err := opt.dumpTrace(sp, label, "cg", "csr"); err != nil {
 				return nil, err
 			}
 		}

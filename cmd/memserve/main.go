@@ -24,10 +24,11 @@
 // /metrics exposes latency and iteration histograms plus cache,
 // admission, and cluster counters in Prometheus text format; GET
 // /cluster/metrics federates every peer's /metrics into one node-labeled
-// view; GET /debug/traces returns recent per-iteration solve traces.
+// view; GET /debug/traces returns the span trees of recent solves.
 // Every response carries a phase-attributed span tree (disable with
-// -tracing=false); forwarded solves propagate W3C traceparent context so
-// one trace covers both nodes. With
+// -tracing=false), with per-iteration samples on its solve span when the
+// request sets "trace": true; forwarded solves propagate W3C traceparent
+// context so one trace covers both nodes. With
 // -debug-addr set, a second listener serves net/http/pprof (plus the
 // same traces and metrics) for profiling without exposing pprof to
 // solve traffic. Requests carry X-Request-Id and are logged structured
@@ -72,7 +73,7 @@ func main() {
 	refineWindow := flag.Int("refine-window", 0, "per-block exponent window of the mode:refine inner engines (0 = full alignment, ReFloat-style when set)")
 	refreshRate := flag.Float64("refresh-rate", 0, "windowed AN detection-rate threshold that triggers a cluster refresh (0 = policy default)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown grace period for queued and in-flight solves")
-	traceRing := flag.Int("trace-ring", 64, "recent solve traces kept for /debug/traces")
+	traceRing := flag.Int("trace-ring", 64, "span trees of recent solves kept for /debug/traces")
 	tracing := flag.Bool("tracing", true, "phase-attributed distributed tracing: span trees on responses, traceparent propagation on forwards, exemplars on latency histograms")
 	nodeID := flag.String("node-id", "", "this node's ID in -peers (required when -peers is set)")
 	peersFlag := flag.String("peers", "", "static cluster membership as id=url,... including this node (empty = single node)")

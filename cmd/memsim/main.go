@@ -157,9 +157,11 @@ func main() {
 		method = memsci.MethodCG
 		methodName = "cg"
 	}
+	var sp *obs.Span
 	var rec *obs.Recorder
 	if *trace != "" {
-		rec = obs.NewRecorder(engine.HWCounters)
+		sp = obs.NewSpan("", "solve")
+		rec = obs.NewRecorder(sp, engine.HWCounters)
 		opt.Monitor = rec.Observe
 	}
 	res, err := memsci.SolveOn(engine, memsci.Ones(m.Rows()), method, spd, opt)
@@ -167,20 +169,18 @@ func main() {
 		log.Fatal(err)
 	}
 	if rec != nil {
-		t := rec.Finish(res.Converged, res.Residual)
-		t.Label, t.Method, t.Backend = label, methodName, "accel"
-		t.Rows, t.NNZ = m.Rows(), m.NNZ()
+		rec.Finish()
 		f, err := os.Create(*trace)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := t.WriteJSONL(f); err != nil {
+		if err := sp.WriteJSONL(f, label, methodName, "accel"); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  wrote %d iteration samples to %s\n", len(t.Iterations), *trace)
+		fmt.Printf("  wrote %d iteration samples to %s\n", len(sp.Samples), *trace)
 	}
 	fmt.Printf("  converged=%v iterations=%d residual=%.2e\n", res.Converged, res.Iterations, res.Residual)
 	st := engine.Stats()

@@ -10,9 +10,9 @@ import (
 )
 
 // The telemetry recorder differences Engine.HWCounters once per solver
-// iteration; the per-iteration deltas must sum exactly to the engine's
-// end-of-solve stats window (TakeStats), or per-iteration hardware
-// attribution is lying about totals.
+// iteration and writes the deltas onto the solve span; they must sum
+// exactly to the engine's end-of-solve stats window (TakeStats), or
+// per-iteration hardware attribution is lying about totals.
 func TestRecorderHWDeltasSumToTakeStats(t *testing.T) {
 	m, plan := smallSystem(t, 192)
 	eng, err := NewEngine(plan, core.DefaultClusterConfig(), 1)
@@ -21,9 +21,8 @@ func TestRecorderHWDeltasSumToTakeStats(t *testing.T) {
 	}
 	eng.TakeStats() // open a fresh window, like the serving layer does
 
-	rec := obs.NewRecorder(eng.HWCounters)
 	span := obs.NewSpan("test", "solve")
-	rec.AttachSpan(span)
+	rec := obs.NewRecorder(span, eng.HWCounters)
 	opt := solver.Options{Tol: 1e-9, Monitor: rec.Observe}
 	b := sparse.Ones(m.Rows())
 	res, err := solver.CG(eng, b, opt)
@@ -33,41 +32,26 @@ func TestRecorderHWDeltasSumToTakeStats(t *testing.T) {
 	if !res.Converged || res.Iterations == 0 {
 		t.Fatalf("solve did not converge: %+v", res)
 	}
-	trace := rec.Finish(res.Converged, res.Residual)
-	if len(trace.Iterations) != res.Iterations {
-		t.Fatalf("%d samples for %d iterations", len(trace.Iterations), res.Iterations)
+	rec.Finish()
+	if len(span.Samples) != res.Iterations {
+		t.Fatalf("%d samples for %d iterations", len(span.Samples), res.Iterations)
 	}
 
 	window := eng.TakeStats()
 	want := window.HWCounters()
-	got := trace.HWTotal()
-	if got == nil {
-		t.Fatal("trace carries no hardware deltas")
+	var got obs.HWCounters
+	for i, sm := range span.Samples {
+		// Every iteration performed hardware work (CG does one Apply per
+		// iteration on this path).
+		if sm.HW == nil || sm.HW.ADCConversions == 0 {
+			t.Fatalf("iteration %d carries no hardware delta: %+v", i+1, sm.HW)
+		}
+		got.Add(*sm.HW)
 	}
-	if *got != want {
-		t.Errorf("per-iteration deltas sum %+v != TakeStats window %+v", *got, want)
+	if got != want {
+		t.Errorf("per-iteration deltas sum %+v != TakeStats window %+v", got, want)
 	}
 	if want.Slices == 0 || want.ADCConversions == 0 {
 		t.Errorf("degenerate window %+v", want)
-	}
-	// The attached span carries the same exact window: phase-level
-	// hardware attribution agrees with both the per-iteration deltas and
-	// the engine's own accounting.
-	if span.HW == nil {
-		t.Fatal("recorder did not attach hardware totals to the span")
-	}
-	if *span.HW != want {
-		t.Errorf("span HW %+v != TakeStats window %+v", *span.HW, want)
-	}
-	if span.Attrs["iterations"] == "" {
-		t.Error("span missing iterations attribute")
-	}
-	// Every iteration performed hardware work (CG does one Apply per
-	// iteration on this path).
-	for i := range trace.Iterations {
-		hw := trace.Iterations[i].HW
-		if hw == nil || hw.ADCConversions == 0 {
-			t.Fatalf("iteration %d carries no hardware delta: %+v", i+1, hw)
-		}
 	}
 }

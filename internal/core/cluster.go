@@ -35,9 +35,6 @@ type ClusterConfig struct {
 	// DisableEarlyTermination forces full-width accumulation (ablation;
 	// the naive 127×127 operation count of §IV-B).
 	DisableEarlyTermination bool
-	// MaxCorrectCount bounds the error-magnitude the AN corrector
-	// searches (1 = single count errors).
-	MaxCorrectCount int
 	// VectorMaxPad bounds vector-segment alignment padding.
 	VectorMaxPad int
 	// MatrixQuant reduces the stored matrix encoding for mixed-precision
@@ -57,12 +54,11 @@ type ClusterConfig struct {
 // protection, early termination enabled, no injected errors.
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
-		Device:          device.TaOx(),
-		CIC:             true,
-		Headstart:       true,
-		Rounding:        TowardNegInf,
-		MaxCorrectCount: 1,
-		VectorMaxPad:    DefaultVectorMaxPad,
+		Device:       device.TaOx(),
+		CIC:          true,
+		Headstart:    true,
+		Rounding:     TowardNegInf,
+		VectorMaxPad: DefaultVectorMaxPad,
 	}
 }
 
@@ -281,9 +277,6 @@ func newCluster(block *Block, cfg ClusterConfig, reference bool) (*Cluster, erro
 	if cfg.VectorMaxPad == 0 {
 		cfg.VectorMaxPad = DefaultVectorMaxPad
 	}
-	if cfg.MaxCorrectCount == 0 {
-		cfg.MaxCorrectCount = 1
-	}
 	if err := cfg.MatrixQuant.Validate(); err != nil {
 		return nil, err
 	}
@@ -337,7 +330,7 @@ func newCluster(block *Block, cfg ClusterConfig, reference bool) (*Cluster, erro
 		c.rowBits[i] = max(block.RowPos[i].BitLen(), block.RowNeg[i].BitLen())
 	}
 	if !c.exact {
-		c.corr = ancode.NewCorrector(c.sumBits, cfg.MaxCorrectCount)
+		c.corr = ancode.NewCorrector(c.sumBits, 1) // single-count errors
 		// Max decoded per-unit-popcount: 2^UnsignedBits − 1.
 		c.uMax = new(big.Int).Lsh(big.NewInt(1), uint(block.Code.UnsignedBits()))
 		c.uMax.Sub(c.uMax, big.NewInt(1))

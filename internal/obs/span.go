@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,9 @@ func NewSpanID() string { return randHex(8) }
 // node's ID, so a forwarded solve renders as one tree covering both
 // processes. The HW field attaches the hardware-counter delta the phase
 // cost — the paper's cost-attribution unit — so "where did the ADC
-// conversions go" is answerable per phase, not just per solve.
+// conversions go" is answerable per phase, not just per solve. A traced
+// solve's span also carries its per-iteration Samples (see Recorder),
+// which sum to its HW.
 //
 // All methods are safe on a nil receiver and do nothing: the serving
 // layer threads *Span unconditionally and disables tracing by simply not
@@ -116,6 +119,7 @@ type Span struct {
 	Nanos    int64
 	HW       *HWCounters
 	Attrs    map[string]string
+	Samples  []IterationSample
 	Children []*Span
 }
 
@@ -178,9 +182,9 @@ func (s *Span) StartChildAt(phase string, start time.Time) *Span {
 }
 
 // End seals the span's duration. Ending twice keeps the first duration;
-// attribute and hardware attachment remain allowed after End (the
-// recorder folds hardware totals in at Finish, which may run after the
-// solve span's interval closed).
+// attributes, hardware and samples may still be attached after End (a
+// solve span gets its hardware window and samples once the solve's
+// interval has closed).
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -333,6 +337,7 @@ type spanJSON struct {
 	Nanos          int64             `json:"nanos"`
 	HW             *HWCounters       `json:"hw,omitempty"`
 	Attrs          map[string]string `json:"attrs,omitempty"`
+	Samples        []IterationSample `json:"samples,omitempty"`
 	Children       []*Span           `json:"children,omitempty"`
 }
 
@@ -349,6 +354,7 @@ func (s *Span) MarshalJSON() ([]byte, error) {
 		Nanos:          s.Nanos,
 		HW:             s.HW,
 		Attrs:          s.Attrs,
+		Samples:        s.Samples,
 		Children:       s.Children,
 	}
 	s.mu.Unlock()
@@ -371,6 +377,7 @@ func (s *Span) UnmarshalJSON(b []byte) error {
 	s.Nanos = j.Nanos
 	s.HW = j.HW
 	s.Attrs = j.Attrs
+	s.Samples = j.Samples
 	s.Children = j.Children
 	return nil
 }
@@ -426,4 +433,37 @@ func (f *FrozenSpan) MarshalJSON() ([]byte, error) {
 	}
 	defer inflaters.Put(r)
 	return io.ReadAll(r)
+}
+
+// SpanRing holds the span trees of the last requests, newest first —
+// the store behind /debug/traces. Add and Snapshot are safe for
+// concurrent use; a tree must not change once added.
+type SpanRing struct {
+	mu    sync.Mutex
+	trees []*Span // its capacity is the bound
+}
+
+// NewSpanRing returns a ring holding the last n trees (n < 1 is treated
+// as 1).
+func NewSpanRing(n int) *SpanRing { return &SpanRing{trees: make([]*Span, 0, max(n, 1))} }
+
+// Add records a tree, dropping the oldest when full; a nil tree (a
+// request with tracing off) is skipped.
+func (r *SpanRing) Add(s *Span) {
+	if s == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.trees) == cap(r.trees) {
+		r.trees = r.trees[:len(r.trees)-1]
+	}
+	r.trees = slices.Insert(r.trees, 0, s)
+}
+
+// Snapshot returns the resident trees, newest first.
+func (r *SpanRing) Snapshot() []*Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.trees)
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -266,5 +267,57 @@ func TestFrozenSpanRendersSameJSON(t *testing.T) {
 	}
 	if (*Span)(nil).Freeze() != nil {
 		t.Error("nil span froze to a non-nil tree")
+	}
+}
+
+func TestSpanRingEvictsOldest(t *testing.T) {
+	r := NewSpanRing(3)
+	r.Add(nil) // an untraced request with tracing off
+	for i := 1; i <= 5; i++ {
+		r.Add(&Span{Phase: string(rune('0' + i))})
+	}
+	got := r.Snapshot()
+	if len(got) != 3 {
+		t.Fatalf("%d trees want 3", len(got))
+	}
+	for i, want := range []string{"5", "4", "3"} { // newest first
+		if got[i].Phase != want {
+			t.Errorf("snapshot[%d] = %s want %s", i, got[i].Phase, want)
+		}
+	}
+}
+
+func TestSpanRingPartial(t *testing.T) {
+	r := NewSpanRing(8)
+	r.Add(&Span{Phase: "a"})
+	r.Add(&Span{Phase: "b"})
+	got := r.Snapshot()
+	if len(got) != 2 || got[0].Phase != "b" || got[1].Phase != "a" {
+		t.Fatalf("partial snapshot %v", got)
+	}
+}
+
+// Requests add trees while /debug/traces renders the ring.
+func TestSpanRingConcurrent(t *testing.T) {
+	r := NewSpanRing(4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				sp := NewSpan("n", "request")
+				sp.End()
+				r.Add(sp)
+				if _, err := json.Marshal(r.Snapshot()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := len(r.Snapshot()); got != 4 {
+		t.Errorf("ring holds %d trees want 4", got)
 	}
 }

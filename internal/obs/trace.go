@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -64,92 +63,38 @@ type IterationSample struct {
 	HW       *HWCounters `json:"hw,omitempty"`
 }
 
-// SolveTrace is the full per-iteration record of one solve. The sum of
-// the per-iteration HW deltas equals the engine's stats window for the
-// solve (Recorder.Finish folds any post-iteration tail work — e.g. a
-// GMRES restart residual — into the final sample to keep that exact).
-type SolveTrace struct {
-	ID      string `json:"id,omitempty"`
-	Label   string `json:"label,omitempty"`
-	Method  string `json:"method,omitempty"`
-	Backend string `json:"backend,omitempty"`
-	Rows    int    `json:"rows,omitempty"`
-	NNZ     int    `json:"nnz,omitempty"`
-
-	Converged bool    `json:"converged"`
-	Residual  float64 `json:"residual"`
-	// TotalNanos is wall-clock from recorder construction to Finish.
-	TotalNanos int64 `json:"totalNanos"`
-	// Truncated counts iterations folded into the last sample once the
-	// recorder's sample cap was reached (their time and hardware deltas
-	// are preserved there, so sums stay exact).
-	Truncated  int               `json:"truncated,omitempty"`
-	Iterations []IterationSample `json:"iterations"`
-	// Span is the request's phase-attributed span tree, when the serving
-	// layer traced it — so a /debug/traces entry shows not just how the
-	// solve converged but where the request's time and hardware work went
-	// (queue, forward hop, programming, solve, refresh), across nodes.
-	Span *Span `json:"span,omitempty"`
-}
-
-// HWTotal sums the per-iteration hardware deltas; nil when no sample
-// carried hardware counters (CSR backend).
-func (t *SolveTrace) HWTotal() *HWCounters {
-	var total HWCounters
-	any := false
-	for i := range t.Iterations {
-		if hw := t.Iterations[i].HW; hw != nil {
-			total.Add(*hw)
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return &total
-}
-
-// DefaultMaxSamples bounds per-trace memory: a 10⁵-iteration solve keeps
-// its first DefaultMaxSamples-1 iterations verbatim and aggregates the
-// rest into the final sample.
+// DefaultMaxSamples bounds a solve span's samples: a 10⁵-iteration solve
+// keeps its first DefaultMaxSamples-1 iterations verbatim and aggregates
+// the rest into the final sample.
 const DefaultMaxSamples = 4096
 
-// Recorder builds a SolveTrace from solver Monitor callbacks. It is
-// meant for a single solve on a single goroutine (the solver invokes the
-// monitor inline); construct one per solve. The optional sampler reads
-// the engine's cumulative hardware counters; the recorder differences
-// consecutive snapshots so each sample carries only that iteration's
-// work.
+// Recorder writes one solve's per-iteration samples onto its solve span
+// from solver Monitor callbacks. It is meant for a single solve on a
+// single goroutine (the solver invokes the monitor inline); construct
+// one per solve. The optional sampler reads the engine's cumulative
+// hardware counters; the recorder differences consecutive snapshots so
+// each sample carries only that iteration's work.
 type Recorder struct {
-	sampler    func() HWCounters
-	prev       HWCounters
-	start      time.Time
-	last       time.Time
-	maxSamples int
-	span       *Span
-	trace      SolveTrace
+	span      *Span
+	sampler   func() HWCounters
+	prev      HWCounters
+	last      time.Time
+	samples   []IterationSample
+	truncated int
 }
 
-// NewRecorder starts a recorder. sampler may be nil (no hardware
-// counters, e.g. the CSR reference backend); when non-nil it is called
-// immediately to baseline the cumulative counters.
-func NewRecorder(sampler func() HWCounters) *Recorder {
-	r := &Recorder{sampler: sampler, maxSamples: DefaultMaxSamples}
-	now := time.Now()
-	r.start, r.last = now, now
+// NewRecorder starts a recorder for span. sampler may be nil (no
+// hardware counters, e.g. the CSR reference backend); when non-nil it is
+// called immediately to baseline the cumulative counters.
+func NewRecorder(span *Span, sampler func() HWCounters) *Recorder {
+	r := &Recorder{span: span, sampler: sampler, last: time.Now()}
 	if sampler != nil {
 		r.prev = sampler()
 	}
 	return r
 }
 
-// AttachSpan links the recorder to the request's solve-phase span:
-// Finish folds the summed per-iteration hardware deltas onto it (and
-// stamps the iteration count), so the span tree charges the solve phase
-// exactly the TakeStats window the per-iteration samples sum to.
-func (r *Recorder) AttachSpan(s *Span) { r.span = s }
-
-// Observe is the solver.Monitor hook: it appends one sample per
+// Observe is the solver.Monitor hook: it records one sample per
 // iteration. The iteration argument is accepted for the Monitor
 // signature; samples are stored in call order.
 func (r *Recorder) Observe(_ int, residual float64) {
@@ -162,105 +107,55 @@ func (r *Recorder) Observe(_ int, residual float64) {
 		r.prev = cur
 		s.HW = &d
 	}
-	if len(r.trace.Iterations) < r.maxSamples {
-		r.trace.Iterations = append(r.trace.Iterations, s)
+	if len(r.samples) < DefaultMaxSamples {
+		r.samples = append(r.samples, s)
 		return
 	}
 	// Cap reached: aggregate into the final sample so totals stay exact.
-	lastSample := &r.trace.Iterations[len(r.trace.Iterations)-1]
-	lastSample.Residual = s.Residual
-	lastSample.Nanos += s.Nanos
+	last := &r.samples[len(r.samples)-1]
+	last.Residual = s.Residual
+	last.Nanos += s.Nanos
 	if s.HW != nil {
-		if lastSample.HW == nil {
-			lastSample.HW = &HWCounters{}
+		if last.HW == nil {
+			last.HW = &HWCounters{}
 		}
-		lastSample.HW.Add(*s.HW)
+		last.HW.Add(*s.HW)
 	}
-	r.trace.Truncated++
+	r.truncated++
 }
 
-// Finish seals and returns the trace. Any hardware work performed after
-// the last iteration callback (e.g. the residual check that ends a GMRES
-// restart cycle) is folded into the final sample so the per-iteration
-// deltas sum exactly to the engine's stats window for the solve.
-//
-// The returned trace is a copy that does not reference the recorder: a
-// trace kept in a TraceRing must not keep the sampler, and with it the
-// engine the sampler reads, reachable after the solve.
-func (r *Recorder) Finish(converged bool, residual float64) *SolveTrace {
-	if r.sampler != nil && len(r.trace.Iterations) > 0 {
-		cur := r.sampler()
-		tail := cur.Sub(r.prev)
-		r.prev = cur
-		if tail != (HWCounters{}) {
-			lastSample := &r.trace.Iterations[len(r.trace.Iterations)-1]
-			if lastSample.HW == nil {
-				lastSample.HW = &HWCounters{}
+// Finish writes the samples onto the span, with a "truncated" attribute
+// counting the iterations folded into the last sample past the cap. Any
+// hardware work performed after the last iteration callback (e.g. the
+// residual check that ends a GMRES restart cycle) is folded into the
+// final sample, so the samples sum exactly to the engine's stats window
+// for the solve. The span holds the samples only, never the sampler: a
+// span kept for /debug/traces must not keep the engine the sampler reads
+// reachable.
+func (r *Recorder) Finish() {
+	if r.sampler != nil && len(r.samples) > 0 {
+		if tail := r.sampler().Sub(r.prev); tail != (HWCounters{}) {
+			last := &r.samples[len(r.samples)-1]
+			if last.HW == nil {
+				last.HW = &HWCounters{}
 			}
-			lastSample.HW.Add(tail)
+			last.HW.Add(tail)
 		}
 	}
-	r.trace.Converged = converged
-	r.trace.Residual = residual
-	r.trace.TotalNanos = time.Since(r.start).Nanoseconds()
-	if r.span != nil {
-		if hw := r.trace.HWTotal(); hw != nil {
-			r.span.SetHW(*hw)
-		}
-		r.span.SetAttr("iterations", strconv.Itoa(len(r.trace.Iterations)+r.trace.Truncated))
+	if r.span == nil {
+		return
 	}
-	t := r.trace
-	return &t
-}
-
-// TraceRing is a fixed-capacity ring of recent solve traces, the backing
-// store for /debug/traces. Add and Snapshot are safe for concurrent use.
-type TraceRing struct {
-	mu   sync.Mutex
-	buf  []*SolveTrace
-	next int
-	full bool
-}
-
-// NewTraceRing returns a ring holding the last n traces (n < 1 is
-// treated as 1).
-func NewTraceRing(n int) *TraceRing {
-	if n < 1 {
-		n = 1
+	r.span.mu.Lock()
+	r.span.Samples = r.samples
+	r.span.mu.Unlock()
+	if r.truncated > 0 {
+		r.span.SetAttr("truncated", strconv.Itoa(r.truncated))
 	}
-	return &TraceRing{buf: make([]*SolveTrace, n)}
-}
-
-// Add records a trace, evicting the oldest when full.
-func (r *TraceRing) Add(t *SolveTrace) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.buf[r.next] = t
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
-	}
-}
-
-// Snapshot returns the resident traces, newest first.
-func (r *TraceRing) Snapshot() []*SolveTrace {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	out := make([]*SolveTrace, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
-	}
-	return out
 }
 
 // jsonlRow flattens one iteration with its solve context, so a trace
 // file greps and loads row-wise without reassembling nested JSON.
 type jsonlRow struct {
-	ID       string      `json:"id,omitempty"`
 	Label    string      `json:"label,omitempty"`
 	Method   string      `json:"method,omitempty"`
 	Backend  string      `json:"backend,omitempty"`
@@ -270,15 +165,16 @@ type jsonlRow struct {
 	HW       *HWCounters `json:"hw,omitempty"`
 }
 
-// WriteJSONL writes the trace as one JSON object per iteration — the
-// -trace out.jsonl format of memsim and experiments.
-func (t *SolveTrace) WriteJSONL(w io.Writer) error {
+// WriteJSONL writes the span's samples as one JSON object per iteration
+// labelled with the solve it belongs to — the -trace out.jsonl format of
+// memsim and experiments.
+func (s *Span) WriteJSONL(w io.Writer, label, method, backend string) error {
 	enc := json.NewEncoder(w)
-	for i := range t.Iterations {
-		s := &t.Iterations[i]
+	for i := range s.Samples {
+		sm := &s.Samples[i]
 		row := jsonlRow{
-			ID: t.ID, Label: t.Label, Method: t.Method, Backend: t.Backend,
-			Iter: i + 1, Residual: s.Residual, Nanos: s.Nanos, HW: s.HW,
+			Label: label, Method: method, Backend: backend,
+			Iter: i + 1, Residual: sm.Residual, Nanos: sm.Nanos, HW: sm.HW,
 		}
 		if err := enc.Encode(&row); err != nil {
 			return err

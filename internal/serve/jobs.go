@@ -43,8 +43,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// children, so an async result carries the same phase attribution a
 	// synchronous response does. Job relays pass nil root/forward spans:
 	// the owning node runs the job, so its trace is rooted there.
-	root := s.startSpan(r, "job")
-	root.SetAttr("request_id", RequestID(r.Context()))
+	root := s.startSpan(r, "job", false)
 
 	tenant := r.Header.Get(apiKeyHeader)
 	if tenant == "" {
@@ -67,6 +66,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if spec == nil {
 		return
 	}
+	if root == nil && spec.req.Trace {
+		root = s.startSpan(r, "job", true)
+	}
+	root.SetAttr("request_id", RequestID(r.Context()))
 	if owner, remote := s.shardOwner(r, spec.key); remote {
 		if s.relayToOwner(w, r, spec, owner, "/v1/jobs", nil, nil) {
 			return
@@ -317,6 +320,7 @@ func (s *Server) runQueued(ctx context.Context, item *queuedJob) {
 	resps, err := s.execute(execCtx, started)
 	for i, it := range started {
 		it.span.End()
+		s.traces.Add(it.span)
 		if resps[i] != nil {
 			resps[i].Span = it.span
 		}

@@ -403,7 +403,7 @@ func TestJobBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var traces []*obs.SolveTrace
+	var traces []*obs.Span
 	err = json.NewDecoder(resp.Body).Decode(&traces)
 	resp.Body.Close()
 	if err != nil {
@@ -411,7 +411,7 @@ func TestJobBatching(t *testing.T) {
 	}
 	traced := map[string]bool{}
 	for _, tr := range traces {
-		traced[tr.ID] = true
+		traced[tr.Attrs["job"]] = true
 	}
 	for i, sr := range results {
 		if !sr.Converged {

@@ -14,9 +14,9 @@ import (
 // Request IDs are a per-process random prefix plus a sequence number:
 // unique across restarts (the prefix) yet cheap and ordered within one
 // process (the counter). The ID is returned in X-Request-Id, attached to
-// every structured log line, and stamped on the solve trace, so a slow
-// request in the access log can be joined to its per-iteration trace in
-// /debug/traces.
+// every structured log line, and stamped on the root span as its
+// request_id attribute, so a slow request in the access log can be
+// joined to its span tree in /debug/traces.
 var reqPrefix = func() string {
 	var b [4]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -132,7 +132,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	)
 }
 
-// handleTraces serves the ring of recent solve traces, newest first.
+// handleTraces serves the ring's span trees, newest first; a traced
+// solve's per-iteration samples sit on its solve span.
 func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -140,7 +141,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, _ *http.Request) {
 }
 
 // DebugHandler returns the opt-in debug mux: net/http/pprof under
-// /debug/pprof/ plus the trace ring under /debug/traces. It is a
+// /debug/pprof/ plus the span ring under /debug/traces. It is a
 // separate handler so operators bind it to a loopback-only port
 // (memserve -debug-addr) instead of exposing profiling to solve
 // traffic.

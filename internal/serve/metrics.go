@@ -192,11 +192,11 @@ func (m *Metrics) noteRefresh(rs accel.RefreshStats) {
 	m.refreshEnergy.Add(int64(math.Round(rs.WriteEnergyJoules * 1e9)))
 }
 
-// observeTrace folds one finished solve into the convergence histograms.
-func (m *Metrics) observeTrace(t *obs.SolveTrace) {
+// residualMonitor returns one solve's solver monitor for the
+// residual-reduction histogram: each iteration observes r_k/r_k-1.
+func (m *Metrics) residualMonitor() func(int, float64) {
 	prev := 1.0 // residuals are relative to ‖b‖, so the trajectory starts at 1
-	for i := range t.Iterations {
-		rn := t.Iterations[i].Residual
+	return func(_ int, rn float64) {
 		if prev > 0 {
 			m.residualReduction.Observe(rn / prev)
 		}

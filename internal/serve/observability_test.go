@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -37,8 +38,39 @@ func TestSolvePanicAccounting(t *testing.T) {
 	}
 }
 
-// "trace": true returns the per-iteration record, and its hardware
-// deltas sum exactly to the response's end-of-solve Hardware window.
+// sampleTotal sums a solve span's per-iteration hardware deltas; nil
+// when no sample carries any.
+func sampleTotal(sp *obs.Span) *obs.HWCounters {
+	var total *obs.HWCounters
+	for _, sm := range sp.Samples {
+		if sm.HW != nil {
+			if total == nil {
+				total = &obs.HWCounters{}
+			}
+			total.Add(*sm.HW)
+		}
+	}
+	return total
+}
+
+// fetchTraces decodes /debug/traces.
+func fetchTraces(t *testing.T, ts *httptest.Server) []*obs.Span {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/debug/traces")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var traces []*obs.Span
+	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
+		t.Fatal(err)
+	}
+	return traces
+}
+
+// "trace": true puts one sample per iteration on the response's solve
+// span, and their hardware deltas sum exactly to the response's
+// end-of-solve Hardware window.
 func TestSolveTraceResponse(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -49,14 +81,15 @@ func TestSolveTraceResponse(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	sr := decodeSolve(t, raw)
-	if sr.Trace == nil {
-		t.Fatalf("no trace in response: %s", raw)
+	solveSp := sr.Span.Find("solve")
+	if solveSp == nil || solveSp.Samples == nil {
+		t.Fatalf("no samples on the solve span: %s", raw)
 	}
-	if len(sr.Trace.Iterations) != sr.Iterations {
-		t.Fatalf("trace has %d samples for %d iterations", len(sr.Trace.Iterations), sr.Iterations)
+	if len(solveSp.Samples) != sr.Iterations {
+		t.Fatalf("solve span has %d samples for %d iterations", len(solveSp.Samples), sr.Iterations)
 	}
-	if sr.RequestID == "" || sr.Trace.ID != sr.RequestID {
-		t.Errorf("request id %q, trace id %q", sr.RequestID, sr.Trace.ID)
+	if sr.RequestID == "" || sr.Span.Attrs["request_id"] != sr.RequestID {
+		t.Errorf("request id %q, root span request_id %q", sr.RequestID, sr.Span.Attrs["request_id"])
 	}
 	if got := resp.Header.Get("X-Request-Id"); got != sr.RequestID {
 		t.Errorf("X-Request-Id header %q vs body %q", got, sr.RequestID)
@@ -64,18 +97,21 @@ func TestSolveTraceResponse(t *testing.T) {
 	if sr.Hardware == nil {
 		t.Fatal("accel response missing hardware window")
 	}
-	total := sr.Trace.HWTotal()
+	total := sampleTotal(solveSp)
 	if total == nil {
-		t.Fatal("trace missing hardware deltas")
+		t.Fatal("samples carry no hardware deltas")
 	}
 	want := sr.Hardware.HWCounters()
 	if *total != want {
-		t.Errorf("trace hw sum %+v != hardware window %+v", *total, want)
+		t.Errorf("sample hw sum %+v != hardware window %+v", *total, want)
+	}
+	if solveSp.HW == nil || *solveSp.HW != want {
+		t.Errorf("solve span hw %+v != hardware window %+v", solveSp.HW, want)
 	}
 	// Residuals decrease to the final value; nanos are recorded.
-	iters := sr.Trace.Iterations
+	iters := solveSp.Samples
 	if iters[len(iters)-1].Residual != sr.Residual {
-		t.Errorf("final trace residual %g != response residual %g",
+		t.Errorf("final sample residual %g != response residual %g",
 			iters[len(iters)-1].Residual, sr.Residual)
 	}
 	for i := range iters {
@@ -84,47 +120,59 @@ func TestSolveTraceResponse(t *testing.T) {
 		}
 	}
 
-	// Without "trace": true the response stays lean.
+	// Without "trace": true the response stays lean: a span tree with
+	// no samples.
 	_, raw = postSolve(t, ts, SolveRequest{Matrix: mmText(t, poisson1D(40)), Method: "cg"})
-	if bytes.Contains(raw, []byte(`"trace"`)) {
-		t.Error("untraced response contains a trace")
+	if bytes.Contains(raw, []byte(`"samples"`)) || bytes.Contains(raw, []byte(`"trace"`)) {
+		t.Errorf("untraced response carries per-iteration samples: %s", raw)
+	}
+	if sr := decodeSolve(t, raw); sr.Span.Find("solve").Attrs["iterations"] != fmt.Sprint(sr.Iterations) {
+		t.Errorf("untraced solve span iterations %q want %d", sr.Span.Find("solve").Attrs["iterations"], sr.Iterations)
 	}
 }
 
 // Every solve (traced or not, csr or accel) lands in the /debug/traces
-// ring, newest first, and the debug handler serves pprof.
+// ring as its request's span tree, newest first, and the debug handler
+// serves pprof.
 func TestDebugTracesAndPprof(t *testing.T) {
 	s := New(Config{TraceRingSize: 8})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	if _, raw := postSolve(t, ts, SolveRequest{Matrix: mmText(t, poisson1D(16)), Backend: "csr"}); len(raw) == 0 {
-		t.Fatal("csr solve failed")
-	}
-	if _, raw := postSolve(t, ts, SolveRequest{Matrix: mmText(t, poisson1D(24))}); len(raw) == 0 {
-		t.Fatal("accel solve failed")
+	var ids []string
+	for _, req := range []SolveRequest{
+		{Matrix: mmText(t, poisson1D(16)), Backend: "csr"},
+		{Matrix: mmText(t, poisson1D(24))},
+		{Matrix: mmText(t, poisson1D(20)), Trace: true},
+	} {
+		resp, raw := postSolve(t, ts, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		ids = append(ids, decodeSolve(t, raw).RequestID)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
+	traces := fetchTraces(t, ts)
+	if len(traces) != 3 {
+		t.Fatalf("%d traces want 3", len(traces))
 	}
-	defer resp.Body.Close()
-	var traces []*obs.SolveTrace
-	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
+	for i, tr := range traces { // newest first
+		if got, want := tr.Attrs["request_id"], ids[len(ids)-1-i]; got != want {
+			t.Errorf("ring entry %d is request %s want %s", i, got, want)
+		}
+		if err := tr.Validate(); err != nil || tr.Phase != "request" || !tr.Context().Valid() {
+			t.Errorf("ring entry %d: phase %q, invalid tree: %v", i, tr.Phase, err)
+		}
 	}
-	if len(traces) != 2 {
-		t.Fatalf("%d traces want 2", len(traces))
+	traced, accel, csr := traces[0].Find("solve"), traces[1].Find("solve"), traces[2].Find("solve")
+	if traced == nil || len(traced.Samples) == 0 || sampleTotal(traced) == nil || *sampleTotal(traced) != *traced.HW {
+		t.Errorf("traced entry lacks samples summing to its hardware: %+v", traced)
 	}
-	if traces[0].Rows != 24 || traces[1].Rows != 16 {
-		t.Errorf("ring order wrong: rows %d, %d", traces[0].Rows, traces[1].Rows)
+	if accel == nil || accel.HW == nil || accel.Samples != nil {
+		t.Errorf("untraced accel entry wants hardware and no samples: %+v", accel)
 	}
-	if traces[0].Backend != "accel" || traces[0].HWTotal() == nil {
-		t.Errorf("accel trace lacks hardware: %+v", traces[0])
-	}
-	if traces[1].Backend != "csr" || traces[1].HWTotal() != nil {
-		t.Errorf("csr trace should have no hardware: %+v", traces[1])
+	if csr == nil || traces[2].HWTotal() != nil || csr.Samples != nil {
+		t.Errorf("csr entry should have no hardware and no samples: %+v", csr)
 	}
 
 	dbg := httptest.NewServer(s.DebugHandler())

@@ -60,14 +60,14 @@ type Config struct {
 	// Logger receives structured request and solve logs (nil = discard;
 	// cmd/memserve passes a text handler on stderr).
 	Logger *slog.Logger
-	// TraceRingSize bounds the ring of recent solve traces served by
-	// /debug/traces (0 = 64).
+	// TraceRingSize bounds the ring of recent request span trees served
+	// by /debug/traces (0 = 64).
 	TraceRingSize int
 	// DisableTracing turns off per-request phase spans (the zero value
 	// traces every request — spans are a handful of small allocations on
-	// the request path, never on the MVM hot path). With tracing off,
-	// responses and /debug/traces carry no span trees and latency
-	// histograms record no exemplars.
+	// the request path, never on the MVM hot path). With tracing off, only
+	// requests with "trace": true get span trees (in responses and
+	// /debug/traces) and latency exemplars.
 	DisableTracing bool
 
 	// SolveTimeout, when positive, is a hard per-solve execution
@@ -196,7 +196,7 @@ type Server struct {
 	cfg     Config
 	cache   *Cache
 	metrics *Metrics
-	traces  *obs.TraceRing
+	traces  *obs.SpanRing
 	logger  *slog.Logger
 	mux     *http.ServeMux
 
@@ -265,7 +265,7 @@ func New(cfg Config) *Server {
 	s.metrics.registerClusterFuncs(s.queue.Len, s.store.Counts)
 	s.metrics.registerRuntimeFuncs(runtime.ReadMemStats)
 	s.fedClient = &http.Client{Timeout: federationTimeout}
-	s.traces = obs.NewTraceRing(cfg.TraceRingSize)
+	s.traces = obs.NewSpanRing(cfg.TraceRingSize)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
@@ -282,9 +282,10 @@ func New(cfg Config) *Server {
 // startSpan roots this process's span tree for one request: a fresh
 // trace normally, or a continuation when the caller (a forwarding peer,
 // or any W3C-instrumented client) sent a valid traceparent header — that
-// is what makes a forwarded solve one trace across two nodes.
-func (s *Server) startSpan(r *http.Request, phase string) *obs.Span {
-	if s.cfg.DisableTracing {
+// is what makes a forwarded solve one trace across two nodes. With
+// tracing disabled it returns nil unless the request is traced.
+func (s *Server) startSpan(r *http.Request, phase string, traced bool) *obs.Span {
+	if s.cfg.DisableTracing && !traced {
 		return nil
 	}
 	if sc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
@@ -386,9 +387,9 @@ type SolveRequest struct {
 	// TimeoutMS overrides the server's default solve deadline, capped
 	// at the server's maximum.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Trace includes the per-iteration solve trace in the response:
+	// Trace puts per-iteration samples on the response's solve span:
 	// residual, wall-clock, and (accel backend) the hardware-counter
-	// delta for every iteration.
+	// delta of every iteration, summing to the hardware window.
 	Trace bool `json:"trace,omitempty"`
 }
 
@@ -437,7 +438,7 @@ type SolveResponse struct {
 	Refresh *accel.RefreshStats `json:"refresh,omitempty"`
 	Timings Timings             `json:"timings_ms"`
 	// RequestID echoes the X-Request-Id header, joining the response to
-	// the access log and the /debug/traces ring.
+	// the access log and its /debug/traces entry (attr request_id).
 	RequestID string `json:"request_id,omitempty"`
 	// Node names the node that executed the solve — with sharding on, a
 	// forwarded response carries the owner's ID, not the entry node's.
@@ -446,13 +447,11 @@ type SolveResponse struct {
 	// of a coalesced multi-RHS batch of that many systems; the Hardware
 	// window then covers the whole batch, not this job alone.
 	BatchSize int `json:"batch_size,omitempty"`
-	// Trace is the per-iteration record, present when the request set
-	// "trace": true.
-	Trace *obs.SolveTrace `json:"trace,omitempty"`
 	// Span is the request's phase-attributed span tree (queue wait,
 	// throttle, forward hop, programming, solve, refresh), present
-	// whenever tracing is enabled. A forwarded solve returns one tree
-	// spanning both nodes under a single trace ID.
+	// whenever tracing is enabled or the request set "trace": true; its
+	// solve span then also holds the per-iteration samples. A forwarded
+	// solve returns one tree spanning both nodes under a single trace ID.
 	Span *obs.Span `json:"span,omitempty"`
 }
 
@@ -488,16 +487,18 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// The root span covers the whole request; each admission stage gets
 	// a child, so "where did this request's latency go" decomposes into
 	// named phases. All span calls are nil-safe no-ops when tracing is
-	// disabled.
-	root := s.startSpan(r, "request")
-	root.SetAttr("request_id", reqID)
-
+	// disabled; a traced request then roots its tree after parsing.
+	root := s.startSpan(r, "request", false)
 	parseSp := root.StartChild("parse")
 	spec := s.parseSolveRequest(w, r)
 	parseSp.End()
 	if spec == nil {
 		return
 	}
+	if root == nil && spec.req.Trace {
+		root = s.startSpan(r, "request", true)
+	}
+	root.SetAttr("request_id", reqID)
 	throttleSp := root.StartChild("throttle")
 	admitted := s.checkQuota(w, r, spec.tenant)
 	throttleSp.End()
@@ -508,6 +509,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		fwdSp := root.StartChild("forward")
 		fwdSp.SetAttr("owner", owner.ID)
 		if s.relayToOwner(w, r, spec, owner, "/solve", root, fwdSp) {
+			fwdSp.End()
+			root.End()
+			s.traces.Add(root)
 			return
 		}
 		// Owner unreachable after retries: degrade to a local solve.
@@ -528,6 +532,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	resps, err := s.execute(ctx, []*queuedJob{{id: reqID, spec: spec, span: root}})
+	root.End()
+	s.traces.Add(root)
 	resp := resps[0]
 	if resp == nil {
 		// Cache-acquisition failures kept their historical 422 fallback;
@@ -540,7 +546,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.Timings.Total = msSince(start)
-	root.End()
 	resp.Span = root
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -3,8 +3,11 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -189,6 +192,60 @@ func TestServerSolveValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body: status %d want 413", resp.StatusCode)
+	}
+}
+
+// The body is read into one buffer sized from Content-Length: a body at
+// the limit is accepted, one byte over is refused with 413, a chunked
+// body of unknown length is read whole either way, and a declared length
+// far past the limit allocates no more than the limit allows.
+func TestSolveBodyLimit(t *testing.T) {
+	body, _ := json.Marshal(SolveRequest{Matrix: mmText(t, poisson1D(8)), Backend: "csr"})
+	limit := int64(len(body))
+	over := append(bytes.Clone(body), ' ')
+	s := New(Config{MaxBodyBytes: limit})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	tooBig := fmt.Sprintf(`{"error":"body exceeds %d bytes"}`, limit)
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		code int
+	}{
+		{"at the limit", bytes.NewReader(body), http.StatusOK},
+		{"one byte over", bytes.NewReader(over), http.StatusRequestEntityTooLarge},
+		// A reader of unknown length makes the client send it chunked.
+		{"chunked at the limit", io.MultiReader(bytes.NewReader(body)), http.StatusOK},
+		{"chunked one byte over", io.MultiReader(bytes.NewReader(over)), http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/solve", "application/json", tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: status %d want %d (%s)", tc.name, resp.StatusCode, tc.code, raw)
+		}
+		if tc.code == http.StatusRequestEntityTooLarge && strings.TrimSpace(string(raw)) != tooBig {
+			t.Errorf("%s: body %s want %s", tc.name, raw, tooBig)
+		}
+	}
+
+	req := httptest.NewRequest("POST", "/solve", bytes.NewReader(over))
+	req.ContentLength = 64 << 20
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("declared 64 MiB: status %d want 413 (%s)", rec.Code, rec.Body)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("declared 64 MiB against a %d-byte limit: request allocated %d bytes", limit, got)
 	}
 }
 

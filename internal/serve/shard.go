@@ -73,46 +73,32 @@ func (s *Server) relayToOwner(w http.ResponseWriter, r *http.Request, spec *solv
 	}
 	w.Header().Set(cluster.NodeHeader, owner.ID)
 
-	if root != nil && path == "/solve" && resp.StatusCode == http.StatusOK {
-		if s.relaySolveWithGraft(w, resp, root, fwdSp) {
-			s.logForwarded(r, path, owner, resp.StatusCode, spec.key)
-			return true
-		}
-	}
-
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	s.logForwarded(r, path, owner, resp.StatusCode, spec.key)
-	return true
-}
-
-// relaySolveWithGraft decodes the owner's solve response, grafts its span
-// tree under the entry node's forward span, and writes the merged
-// response. A body that cannot be read or decoded is relayed as-is: the
-// client still gets the owner's answer, just without the entry node's
-// spans.
-func (s *Server) relaySolveWithGraft(w http.ResponseWriter, resp *http.Response, root, fwdSp *obs.Span) bool {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayDecodeBytes))
+	// Anything else, or an answer that cannot be read or decoded, is
+	// relayed as-is: the client still gets it, without the graft.
 	var sr SolveResponse
-	if err != nil || json.Unmarshal(body, &sr) != nil {
+	var body []byte
+	graft := root != nil && path == "/solve" && resp.StatusCode == http.StatusOK
+	if graft {
+		body, err = io.ReadAll(io.LimitReader(resp.Body, maxRelayDecodeBytes))
+		graft = err == nil && json.Unmarshal(body, &sr) == nil
+	}
+	if graft {
+		fwdSp.Graft(sr.Span)
+		fwdSp.End()
+		root.End()
+		sr.Span = root
+		writeJSON(w, resp.StatusCode, &sr)
+	} else {
 		w.WriteHeader(resp.StatusCode)
 		_, _ = w.Write(body)
-		return true
+		_, _ = io.Copy(w, resp.Body)
 	}
-	fwdSp.Graft(sr.Span)
-	fwdSp.End()
-	root.End()
-	sr.Span = root
-	writeJSON(w, resp.StatusCode, &sr)
-	return true
-}
-
-func (s *Server) logForwarded(r *http.Request, path string, owner cluster.Peer, status int, key string) {
 	s.logger.Info("forwarded",
 		"id", RequestID(r.Context()),
 		"path", path,
 		"owner", owner.ID,
-		"status", status,
-		"key", key,
+		"status", resp.StatusCode,
+		"key", spec.key,
 	)
+	return true
 }

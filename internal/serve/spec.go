@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -68,7 +69,11 @@ type solveSpec struct {
 func (s *Server) parseSolveRequest(w http.ResponseWriter, r *http.Request) *solveSpec {
 	start := time.Now()
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	raw, err := io.ReadAll(r.Body)
+	// One buffer for a declared length, capped at the limit (+ ReadFrom's slack).
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), s.cfg.MaxBodyBytes)) + bytes.MinRead)
+	_, err := body.ReadFrom(r.Body)
+	raw := body.Bytes()
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -209,9 +214,10 @@ func (s *Server) effectiveTimeout(req *SolveRequest) time.Duration {
 // jobs. execute gets the operator — an engine leased from the cache for
 // the accel backend, the reference CSR operator or, for refine on csr,
 // the lowprec datapath — runs the solver, and does each item's
-// bookkeeping: program, solve and refresh spans under its span, its
-// trace in the ring, the metrics, the response and the log line. A
-// job's iterations also feed its SSE event log.
+// bookkeeping: program, solve and refresh spans under its span (a
+// traced item's solve span with its per-iteration samples), the
+// metrics, the response and the log line. A job's iterations also feed
+// its SSE event log.
 //
 // resps has one entry per item; a nil entry failed with err, which
 // wraps the acquisition, solver or context failure (a deadline is
@@ -265,33 +271,36 @@ func (s *Server) execute(ctx context.Context, items []*queuedJob) (resps []*Solv
 		return resps, err
 	}
 
-	// Every solve is recorded. A single solve's recorder baselines the
-	// engine's hardware counters (just reset above) and snapshots a
-	// delta per iteration, so the deltas sum exactly to the engine's
-	// stats window; batch members record residuals only, since that
-	// window covers the whole batch.
-	var sampler func() obs.HWCounters
-	if lease != nil && !batched {
-		sampler = lease.Engine.HWCounters
-	}
-	recs := make([]*obs.Recorder, len(items))
+	// Every solve's monitor feeds the residual-reduction histogram; a job's, its SSE log.
 	monitors := make([]solver.Monitor, len(items))
 	solveSps := make([]*obs.Span, len(items))
 	for i, it := range items {
-		recs[i] = obs.NewRecorder(sampler)
-		monitors[i] = recs[i].Observe
-		if it.job != nil {
-			events := it.job.Events
-			monitors[i] = solver.Tee(recs[i].Observe, func(iter int, rn float64) {
-				events.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
-			})
-		}
 		solveSps[i] = it.span.StartChild("solve")
 		solveSps[i].SetAttr("method", spec.method)
 		if refine {
 			solveSps[i].SetAttr("mode", "refine")
 		}
-		recs[i].AttachSpan(solveSps[i])
+		monitors[i] = s.metrics.residualMonitor()
+		if it.job != nil {
+			events := it.job.Events
+			monitors[i] = solver.Tee(monitors[i], func(iter int, rn float64) {
+				events.Append(jobs.Event{Type: jobs.EventIteration, Iteration: iter, Residual: rn})
+			})
+		}
+	}
+	// Only a traced solve, which runs alone (see batchable), records
+	// per-iteration samples. Its recorder baselines the engine's hardware
+	// counters (just reset above) and snapshots a delta per iteration, so
+	// the samples sum exactly to the stats window its solve span and
+	// response report.
+	var rec *obs.Recorder
+	if spec.req.Trace {
+		var sampler func() obs.HWCounters
+		if lease != nil {
+			sampler = lease.Engine.HWCounters
+		}
+		rec = obs.NewRecorder(solveSps[0], sampler)
+		monitors[0] = solver.Tee(monitors[0], rec.Observe)
 	}
 
 	opt := solver.Options{Tol: spec.req.Tol, MaxIter: spec.req.MaxIter, Restart: spec.req.Restart, Ctx: ctx}
@@ -349,22 +358,9 @@ func (s *Server) execute(ctx context.Context, items []*queuedJob) (resps []*Solv
 	}
 
 	solveSecs := time.Since(solveStart).Seconds()
-	traces := make([]*obs.SolveTrace, len(items))
-	for i, it := range items {
-		solveSps[i].End()
-		s.metrics.solveSeconds.ObserveExemplar(solveSecs, it.span.Context().TraceID)
-		s.metrics.solves.Inc()
-		if res := results[i]; res != nil {
-			tr := recs[i].Finish(res.Converged, res.Residual)
-			tr.ID, tr.Method, tr.Backend, tr.Rows, tr.NNZ = it.id, spec.method, spec.backend, spec.m.Rows(), spec.m.NNZ()
-			s.traces.Add(tr)
-			s.metrics.iterations.Observe(float64(res.Iterations))
-			s.metrics.observeTrace(tr)
-			traces[i] = tr
-		}
+	if rec != nil {
+		rec.Finish() // before TakeStats resets the counters its last sample reads
 	}
-	// Drained after the traces are sealed: a recorder's last sample
-	// reads the counters TakeStats resets.
 	var st core.ComputeStats
 	var rs accel.RefreshStats
 	if lease != nil {
@@ -375,12 +371,21 @@ func (s *Server) execute(ctx context.Context, items []*queuedJob) (resps []*Solv
 	}
 
 	for i, it := range items {
-		res := results[i]
-		if batched {
-			// Each member's solve span carries the whole batch's hardware
-			// window with batch_size marked, as its response does.
+		solveSps[i].End()
+		s.metrics.solveSeconds.ObserveExemplar(solveSecs, it.span.Context().TraceID)
+		s.metrics.solves.Inc()
+		if lease != nil {
+			// A batch member's solve span carries the whole batch's
+			// hardware window with batch_size marked, as its response does.
 			solveSps[i].SetHW(st.HWCounters())
+		}
+		if batched {
 			solveSps[i].SetAttr("batch_size", fmt.Sprint(len(items)))
+		}
+		res := results[i]
+		if res != nil {
+			s.metrics.iterations.Observe(float64(res.Iterations))
+			solveSps[i].SetAttr("iterations", strconv.Itoa(res.Iterations))
 		}
 		if err != nil && (res == nil || !res.Converged) {
 			if errors.Is(err, context.DeadlineExceeded) {
@@ -423,9 +428,6 @@ func (s *Server) execute(ctx context.Context, items []*queuedJob) (resps []*Solv
 				refreshSp.SetAttr("cells", fmt.Sprint(rs.CellsReprogrammed))
 				refreshSp.End()
 			}
-		}
-		if it.spec.req.Trace {
-			resp.Trace = traces[i]
 		}
 		resps[i] = resp
 		s.logger.Info("solve",

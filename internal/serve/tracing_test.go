@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -92,6 +93,87 @@ func TestDisableTracingOmitsSpan(t *testing.T) {
 	}
 	if text := fetchMetrics(t, ts); strings.Contains(text, "# {trace_id=") {
 		t.Error("tracing disabled but metrics carry exemplars")
+	}
+	if traces := fetchTraces(t, ts); len(traces) != 0 {
+		t.Fatalf("tracing disabled but the ring holds %d untraced trees", len(traces))
+	}
+
+	// A request that asks for its trace still gets its own tree, with
+	// its samples on the solve span, and the ring keeps it.
+	resp, raw = postSolve(t, ts, SolveRequest{Matrix: mmText(t, poisson1D(16)), Backend: "csr", Trace: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	sr := decodeSolve(t, raw)
+	if sr.Span == nil || sr.Span.Validate() != nil || sr.Span.Attrs["request_id"] != sr.RequestID {
+		t.Fatalf("traced request under DisableTracing got no valid tree: %s", raw)
+	}
+	if sp := sr.Span.Find("solve"); sp == nil || len(sp.Samples) != sr.Iterations || sp.HW != nil {
+		t.Errorf("traced csr solve span wants %d samples and no hardware: %+v", sr.Iterations, sp)
+	}
+	if traces := fetchTraces(t, ts); len(traces) != 1 || traces[0].TraceID != sr.Span.TraceID {
+		t.Errorf("ring holds %d trees, want only the traced request's", len(traces))
+	}
+}
+
+// exemplarTraceID matches a solve-latency bucket's trace-ID exemplar.
+var exemplarTraceID = regexp.MustCompile(`memserve_solve_seconds_bucket\{[^}]*\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
+
+// The exemplar on a solve-latency bucket names a /debug/traces entry:
+// an operator following it finds the request's span tree with its
+// request, program and solve phases.
+func TestExemplarNamesRingEntry(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	if resp, raw := postSolve(t, ts, SolveRequest{Matrix: mmText(t, testMatrix(t, 192, 1)), Method: "cg", Tol: 1e-10}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	text := fetchMetrics(t, ts)
+	m := exemplarTraceID.FindStringSubmatch(text)
+	if m == nil {
+		t.Fatalf("no solve-latency exemplar:\n%s", grepMetrics(text, "memserve_solve_seconds_bucket"))
+	}
+	var entry *obs.Span
+	for _, tr := range fetchTraces(t, ts) {
+		if tr.TraceID == m[1] {
+			entry = tr
+		}
+	}
+	if entry == nil {
+		t.Fatalf("exemplar trace %s names no /debug/traces entry", m[1])
+	}
+	if entry.Phase != "request" || entry.Find("program") == nil || entry.Find("solve") == nil {
+		t.Errorf("entry for trace %s lacks request, program or solve phase: %+v", m[1], entry)
+	}
+}
+
+// The entry node's ring keeps a forwarded solve's tree with the owner's
+// subtree grafted in, so /debug/traces on the node the client talked to
+// shows where the owner spent the solve.
+func TestForwardedSolveRingEntry(t *testing.T) {
+	_, _, tsA, _, m := twoNodes(t)
+
+	resp, raw := postSolve(t, tsA, SolveRequest{Matrix: mmText(t, m), Method: "cg", Tol: 1e-10, Trace: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+	}
+	sr := decodeSolve(t, raw)
+	traces := fetchTraces(t, tsA)
+	if len(traces) != 1 || traces[0].TraceID != sr.Span.TraceID {
+		t.Fatalf("entry node ring holds %d trees, want the forwarded request's", len(traces))
+	}
+	if err := traces[0].Validate(); err != nil {
+		t.Fatalf("ring entry invalid: %v", err)
+	}
+	solveSp := traces[0].Find("solve")
+	if solveSp == nil || solveSp.Node != "b" || solveSp.HW == nil {
+		t.Fatalf("entry node's ring entry lacks the owner's solve span: %+v", solveSp)
+	}
+	if len(solveSp.Samples) != sr.Iterations || *sampleTotal(solveSp) != *solveSp.HW {
+		t.Errorf("owner's samples lost over the hop: %d samples for %d iterations", len(solveSp.Samples), sr.Iterations)
 	}
 }
 
