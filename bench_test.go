@@ -16,7 +16,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"memsci"
@@ -277,7 +276,7 @@ func BenchmarkClusterMVM64(b *testing.B) {
 
 // benchEngine builds a functional engine over a banded system large
 // enough to program a few dozen clusters.
-func benchEngine(b *testing.B, par int) (*accel.Engine, []float64, []float64) {
+func benchEngine(b *testing.B) (*accel.Engine, []float64, []float64) {
 	b.Helper()
 	spec := matgen.Spec{
 		Name: "bench_par", Rows: 768, NNZ: 768 * 12, SPD: true, Class: matgen.Banded,
@@ -297,7 +296,6 @@ func benchEngine(b *testing.B, par int) (*accel.Engine, []float64, []float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.Parallelism = par
 	xrng := rand.New(rand.NewSource(4))
 	x := make([]float64, m.Cols())
 	for i := range x {
@@ -306,37 +304,26 @@ func benchEngine(b *testing.B, par int) (*accel.Engine, []float64, []float64) {
 	return eng, make([]float64, m.Rows()), x
 }
 
-// BenchmarkEngineApplySerial vs BenchmarkEngineApplyParallel measure the
-// wall-clock effect of fanning cluster MVMs out across GOMAXPROCS
-// workers (results are bit-identical; see the accel equivalence test).
-// On a >= 4-core host the parallel variant runs >= 2x faster.
+// BenchmarkEngineApplySerial measures one full-operator Apply, its
+// clusters run one after another on the calling goroutine.
 func BenchmarkEngineApplySerial(b *testing.B) {
-	eng, y, x := benchEngine(b, 1)
+	eng, y, x := benchEngine(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Apply(y, x)
+	}
 	b.ReportMetric(float64(eng.Clusters()), "clusters")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Apply(y, x)
-	}
-}
-
-func BenchmarkEngineApplyParallel(b *testing.B) {
-	eng, y, x := benchEngine(b, runtime.GOMAXPROCS(0))
-	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Apply(y, x)
-	}
 }
 
 // BenchmarkEngineSolveMonitor pins the telemetry overhead on solves at
-// BenchmarkEngineApplyParallel scale: "none" exercises the nil-Monitor
+// BenchmarkEngineApplySerial scale: "none" exercises the nil-Monitor
 // fast path (one predictable branch per iteration — the acceptance bound
 // is <= 5% vs the pre-hook solver, and the branch is orders of magnitude
 // below that), "recorder" attaches the full obs.Recorder including
 // per-iteration hardware-counter sampling.
 func BenchmarkEngineSolveMonitor(b *testing.B) {
 	run := func(b *testing.B, attach bool) {
-		eng, _, _ := benchEngine(b, runtime.GOMAXPROCS(0))
+		eng, _, _ := benchEngine(b)
 		rhs := sparse.Ones(eng.Rows())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

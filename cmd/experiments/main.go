@@ -89,7 +89,7 @@ func main() {
 	flag.Float64Var(&opt.scale, "scale", 1.0, "matrix scale factor for the modeling experiments")
 	flag.Int64Var(&opt.seed, "seed", 1, "Monte-Carlo base seed")
 	flag.BoolVar(&opt.measure, "measure-iters", false, "measure solver iteration counts on scaled stand-ins instead of using the catalog counts")
-	flag.IntVar(&opt.par, "par", 0, "worker goroutines for Monte-Carlo trials and cluster execution (0 = GOMAXPROCS, 1 = serial)")
+	flag.IntVar(&opt.par, "par", 0, "worker goroutines for Monte-Carlo trials and multi-RHS batches (0 = GOMAXPROCS, 1 = serial)")
 	flag.StringVar(&opt.trace, "trace", "", "write per-iteration solver traces (JSONL) from the numeric solves (-measure-iters, motivation) to this file")
 	flag.StringVar(&opt.gate, "gate", "", "mixedprec only: path to the committed ADC-conversion-ratio threshold file; exit nonzero when accuracy or the ratio misses it")
 	flag.Parse()

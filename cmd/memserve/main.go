@@ -61,7 +61,7 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "optional debug listen address serving net/http/pprof and /debug/traces (empty = disabled)")
 	maxClusters := flag.Int("cache-clusters", serve.DefaultMaxClusters, "engine-cache capacity in programmed clusters, shared by direct and refine engines (the chip substrate holds 2048)")
 	pool := flag.Int("pool", serve.DefaultPoolSize, "engines per cache entry (parallel solves on one matrix)")
-	par := flag.Int("engine-par", 1, "worker parallelism inside each engine Apply (0 = GOMAXPROCS)")
+	par := flag.Int("engine-par", 1, "workers a batched solve spreads its right-hand sides over, per engine (0 = GOMAXPROCS)")
 	maxBody := flag.Int64("max-body", 8<<20, "request body limit in bytes")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request solve deadline")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-requested deadlines")

@@ -58,8 +58,9 @@ type Mapped struct {
 	// unblocked rows are spread over the bank processors with a residual
 	// imbalance factor.
 	MaxBankUnblocked int
-	// UnblockedScatter is the far-from-diagonal fraction of the
-	// unblocked remainder, which sets its per-element gather cost.
+	// UnblockedScatter is the far-from-diagonal fraction (|i−j| beyond
+	// a 4096-element window) of the unblocked remainder, which sets its
+	// per-element gather cost.
 	UnblockedScatter float64
 	// OwnerBanks is the number of banks owning a vector section (§VI).
 	OwnerBanks int
@@ -67,28 +68,6 @@ type Mapped struct {
 
 // unblockedSkew is the residual load imbalance across bank processors.
 const unblockedSkew = 1.15
-
-// unblockedScatterFraction measures the far-column fraction of the CSR
-// remainder (|i−j| beyond a 4096-element window).
-func unblockedScatterFraction(plan *blocking.Plan) float64 {
-	u := plan.Unblocked
-	if u.NNZ() == 0 {
-		return 0
-	}
-	far := 0
-	for i := 0; i < u.Rows(); i++ {
-		for k := u.RowPtr[i]; k < u.RowPtr[i+1]; k++ {
-			d := u.ColIdx[k] - i
-			if d < 0 {
-				d = -d
-			}
-			if d > 4096 {
-				far++
-			}
-		}
-	}
-	return float64(far) / float64(u.NNZ())
-}
 
 // Map assigns a preprocessing plan to the system's physical clusters.
 func Map(plan *blocking.Plan, sys *System) (*Mapped, error) {
@@ -147,7 +126,7 @@ func Map(plan *blocking.Plan, sys *System) (*Mapped, error) {
 	m.UnblockedNNZ = plan.Unblocked.NNZ() + m.SpilledNNZ
 	perBank := float64(m.UnblockedNNZ) / float64(sys.Cfg.Banks)
 	m.MaxBankUnblocked = int(perBank * unblockedSkew)
-	m.UnblockedScatter = unblockedScatterFraction(plan)
+	m.UnblockedScatter = scatterFraction(plan.Unblocked, 4096)
 	return m, nil
 }
 

@@ -7,22 +7,22 @@ import (
 )
 
 // ApplyBatch computes ys[k] = A·xs[k] for a batch of right-hand sides,
-// spreading the batch over cached engine forks — one serial engine per
-// worker, each with its own per-cluster scratch arenas — the way the
-// hardware would pipeline independent MVM requests through one
-// programmed matrix.
+// spreading the batch over workers — the engine itself as worker 0 and
+// cached engine forks as the rest, each with its own per-cluster scratch
+// arenas — the way the hardware would pipeline independent MVM requests
+// through one programmed matrix. With one worker the batch runs on the
+// calling goroutine and no fork is made.
 //
 // Each ys[k] is bit-identical regardless of worker count or scheduling:
-// RHS k is computed end to end by a single fork, and with InjectErrors
+// RHS k is computed end to end by a single worker, and with InjectErrors
 // every cluster's error sampler is reseeded per RHS from a stream
 // derived from (cluster seed, batch epoch, k) — a pure function of the
-// call sequence and the RHS index, never of which fork ran it. (Forks of
-// the same cluster derive identical streams, so the forked path replays
-// exactly the serial path's draws.) Worker statistics are merged back
-// into e's clusters after the join, in fork order, so Stats/TakeStats
-// account for batch work exactly as for serial work; a batch counts as
-// one operation for the refresh policy, evaluated after the whole batch
-// on both paths. On return the origin's samplers sit at the canonical
+// call sequence and the RHS index, never of which worker ran it (forks
+// of the same cluster derive identical streams). Fork statistics are
+// merged back into e's clusters after the join, in fork order, so
+// Stats/TakeStats account for batch work exactly as for Apply; a batch
+// counts as one operation for the refresh policy, evaluated after the
+// whole batch. On return the origin's samplers sit at the canonical
 // (epoch, len(xs)) stream, so even bare Apply calls after a batch draw
 // identically whatever the worker count was.
 //
@@ -38,28 +38,23 @@ func (e *Engine) ApplyBatch(ys, xs [][]float64) {
 	epoch := e.batchEpoch
 	e.batchEpoch++
 	workers := parallel.Clamp(e.Parallelism, len(xs))
-	if workers <= 1 {
-		for k := range xs {
-			e.ReseedErrors(epoch, uint64(k))
-			e.applyOnce(ys[k], xs[k])
-		}
-		e.ReseedErrors(epoch, uint64(len(xs)))
-		e.maybeRefresh()
-		return
-	}
-	e.ensureBatchForks(workers)
+	e.ensureBatchForks(workers - 1)
+	forks := e.batchForks[:workers-1]
 	// Static round-robin assignment: worker w owns every RHS k with
 	// k ≡ w (mod workers). No channel, no stealing — the assignment is a
 	// pure function of the batch shape, which keeps per-RHS stats and
 	// error streams independent of scheduling.
 	parallel.For(workers, workers, func(w int) {
-		eng := e.batchForks[w]
+		eng := e
+		if w > 0 {
+			eng = forks[w-1]
+		}
 		for k := w; k < len(xs); k += workers {
 			eng.ReseedErrors(epoch, uint64(k))
 			eng.applyOnce(ys[k], xs[k])
 		}
 	})
-	for _, f := range e.batchForks[:workers] {
+	for _, f := range forks {
 		for i, eb := range e.clusters {
 			eb.cluster.Stats().Merge(f.clusters[i].cluster.Stats())
 			f.clusters[i].cluster.ResetStats()
@@ -80,15 +75,13 @@ func (e *Engine) ReseedErrors(epoch, k uint64) {
 	}
 }
 
-// ensureBatchForks grows the cached worker-engine pool to n. Forks are
-// created serial (Parallelism 1) — batch-level parallelism replaces
-// cluster-level fan-out, not multiplies it — and with the refresh policy
-// disarmed: batch work is accounted to the origin after the merge, and
-// the origin alone evaluates the policy, once per batch.
+// ensureBatchForks grows the cached fork pool to n. Forks are created
+// with the refresh policy disarmed: batch work is accounted to the
+// origin after the merge, and the origin alone evaluates the policy,
+// once per batch.
 func (e *Engine) ensureBatchForks(n int) {
 	for len(e.batchForks) < n {
 		f := e.Fork()
-		f.Parallelism = 1
 		f.refresh = nil
 		e.batchForks = append(e.batchForks, f)
 	}

@@ -18,31 +18,29 @@ import (
 // on it (§VII-C: the accelerator converges in the same number of
 // iterations as the GPU because both compute at the same precision).
 //
-// Cluster MVMs execute concurrently, mirroring the hardware's 16
-// clusters per bank × 128 banks (§III, §VI), but results are merged in
-// ascending cluster order so a parallel Apply is bit-identical to a
-// serial one. Apply itself is not safe for concurrent calls on the same
-// Engine: clusters carry running statistics and scratch state.
+// The hardware's 16 clusters per bank × 128 banks run concurrently
+// (§III, §VI); that time is modeled analytically (EvaluatePlan), so the
+// functional Apply runs its clusters one after another and accumulates
+// their outputs in ascending cluster order. Apply is not safe for
+// concurrent calls on the same Engine: clusters carry running
+// statistics and scratch state. Forks (Fork) may Apply concurrently.
 type Engine struct {
 	plan     *blocking.Plan
 	clusters []*engineBlock
 	cfg      core.ClusterConfig
 	seedBase int64
 
-	// Parallelism bounds the worker goroutines used to program clusters
-	// (NewEngine), to fan cluster MVMs out (Apply), and to spread a
-	// multi-RHS batch over engine forks (ApplyBatch). NewEngine sets it
-	// to runtime.GOMAXPROCS(0); set it to 1 to force the serial path
-	// (<= 0 also selects the default).
+	// Parallelism bounds the workers ApplyBatch spreads a multi-RHS
+	// batch over: the engine itself and up to Parallelism−1 cached
+	// forks. NewEngine, which programs blocks on runtime.GOMAXPROCS(0)
+	// workers, sets it to the same; 1 keeps every batch on the engine
+	// itself (<= 0 also selects the default). Apply always runs its
+	// clusters on the calling goroutine.
 	Parallelism int
 
-	// outs and applyErrs are the per-cluster fan-out scratch for
-	// applyParallel, hoisted out of the per-call path (Apply runs once
-	// per solver iteration; the solver loop should not allocate here).
-	outs      [][]float64
-	applyErrs []error
-	// batchForks are the cached per-worker engines behind ApplyBatch,
-	// grown on demand and reused across batches.
+	// batchForks are the cached engines behind ApplyBatch's workers
+	// 1..n−1 (worker 0 is the engine itself), grown on demand and
+	// reused across batches.
 	batchForks []*Engine
 
 	// refresh, when non-nil, is the online self-healing policy (see
@@ -92,8 +90,6 @@ func NewEngine(plan *blocking.Plan, cfg core.ClusterConfig, seedBase int64) (*En
 		}
 	}
 	e.clusters = clusters
-	e.outs = make([][]float64, len(clusters))
-	e.applyErrs = make([]error, len(clusters))
 	return e, nil
 }
 
@@ -151,23 +147,15 @@ func (e *Engine) Cols() int { return e.plan.Cols }
 
 // Apply computes y = A·x through the hardware pipeline: each cluster's
 // exact block dot products are accumulated into the partial-result
-// stream in IEEE double by the local processor, together with the
-// unblocked CSR remainder.
-//
-// With Parallelism > 1 the cluster MVMs run on a worker pool. Block row
-// ranges overlap, so workers never touch y: each cluster's output vector
-// is kept per-cluster and folded into y on the calling goroutine in
-// ascending cluster index order — the same floating-point accumulation
-// order as the serial path, so the result is bit-identical regardless of
-// worker completion order.
+// stream in IEEE double by the local processor, in ascending cluster
+// order, together with the unblocked CSR remainder.
 func (e *Engine) Apply(y, x []float64) {
 	e.applyOnce(y, x)
 	e.maybeRefresh()
 }
 
 // applyOnce is Apply without the refresh-policy evaluation; ApplyBatch
-// uses it so a batch evaluates the policy exactly once regardless of
-// whether it ran on the serial or the forked path.
+// uses it so a batch evaluates the policy exactly once.
 func (e *Engine) applyOnce(y, x []float64) {
 	if len(x) != e.plan.Cols || len(y) != e.plan.Rows {
 		panic(fmt.Sprintf("accel: Apply dims y[%d], x[%d] vs %dx%d", len(y), len(x), e.plan.Rows, e.plan.Cols))
@@ -175,42 +163,17 @@ func (e *Engine) applyOnce(y, x []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	if parallel.Clamp(e.Parallelism, len(e.clusters)) > 1 {
-		e.applyParallel(y, x)
-	} else {
-		for _, eb := range e.clusters {
-			out, err := eb.cluster.MulVec(x[eb.colOff : eb.colOff+eb.cols])
-			if err != nil {
-				panic(fmt.Sprintf("accel: cluster MulVec: %v", err))
-			}
-			dst := y[eb.rowOff : eb.rowOff+eb.rows]
-			for i, v := range out {
-				dst[i] += v
-			}
+	for _, eb := range e.clusters {
+		out, err := eb.cluster.MulVec(x[eb.colOff : eb.colOff+eb.cols])
+		if err != nil {
+			panic(fmt.Sprintf("accel: cluster MulVec: %v", err))
+		}
+		dst := y[eb.rowOff : eb.rowOff+eb.rows]
+		for i, v := range out {
+			dst[i] += v
 		}
 	}
 	e.plan.Unblocked.MulVecAdd(y, x)
-}
-
-func (e *Engine) applyParallel(y, x []float64) {
-	outs, errs := e.outs, e.applyErrs
-	parallel.For(len(e.clusters), e.Parallelism, func(i int) {
-		eb := e.clusters[i]
-		// The returned slice is owned by cluster i's arena; it stays
-		// valid through the merge below because each cluster runs one
-		// MulVec per Apply.
-		outs[i], errs[i] = eb.cluster.MulVec(x[eb.colOff : eb.colOff+eb.cols])
-	})
-	for i, eb := range e.clusters { // deterministic merge: cluster order
-		if errs[i] != nil {
-			panic(fmt.Sprintf("accel: cluster MulVec: %v", errs[i]))
-		}
-		dst := y[eb.rowOff : eb.rowOff+eb.rows]
-		for k, v := range outs[i] {
-			dst[k] += v
-		}
-		outs[i] = nil // don't retain arena views past the call
-	}
 }
 
 // Fork returns an engine sharing e's programmed crossbar state — every
@@ -235,8 +198,6 @@ func (e *Engine) Fork() *Engine {
 			anMark: eb.anMark, programmedAt: eb.programmedAt,
 		}
 	}
-	n.outs = make([][]float64, len(n.clusters))
-	n.applyErrs = make([]error, len(n.clusters))
 	return n
 }
 

@@ -214,52 +214,6 @@ func TestEngineEdgeClipping(t *testing.T) {
 	}
 }
 
-// The determinism guarantee of the parallel execution layer: with the
-// full error model on (so even the per-cluster RNG draws are in play), a
-// parallel Apply must be bit-identical to a serial one — cluster outputs
-// merge in cluster-index order, not completion order.
-func TestApplyParallelBitIdenticalToSerial(t *testing.T) {
-	m, plan := smallSystem(t, 256)
-	cfg := core.DefaultClusterConfig()
-	cfg.InjectErrors = true
-	serial, err := NewEngine(plan, cfg, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial.Parallelism = 1
-	par, err := NewEngine(plan, cfg, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par.Parallelism = 8
-	if serial.Clusters() < 2 {
-		t.Fatalf("test system has %d clusters; parallelism untested", serial.Clusters())
-	}
-	rng := rand.New(rand.NewSource(17))
-	x := make([]float64, m.Cols())
-	ys := make([]float64, m.Rows())
-	yp := make([]float64, m.Rows())
-	// Several rounds: per-cluster RNG streams advance across Apply calls,
-	// and both engines must advance them identically.
-	for round := 0; round < 3; round++ {
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		serial.Apply(ys, x)
-		par.Apply(yp, x)
-		for i := range ys {
-			if ys[i] != yp[i] {
-				t.Fatalf("round %d row %d: serial %x vs parallel %x", round, i, ys[i], yp[i])
-			}
-		}
-	}
-	ss, ps := serial.Stats(), par.Stats()
-	ss.ColumnSlicesUsed, ps.ColumnSlicesUsed = nil, nil
-	if !reflect.DeepEqual(ss, ps) {
-		t.Errorf("stats diverge:\nserial   %+v\nparallel %+v", ss, ps)
-	}
-}
-
 // Engine.Stats must equal the field-wise sum over per-cluster stats. The
 // sum is computed by reflection over every numeric field (recursing into
 // nested structs), so a counter added to ComputeStats but dropped from

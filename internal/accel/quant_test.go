@@ -10,10 +10,9 @@ import (
 
 // Golden determinism gate for the mixed-precision inner-engine presets:
 // with the same seed, a reduced-slice or block-exponent engine must be
-// bit-identical across serial execution, parallel fan-out, a fork, and a
-// from-scratch rebuild — the property the refinement driver's
-// reproducibility (and the engine cache's correctness) rests on. Run
-// under -race in CI, this also exercises the parallel path for races.
+// bit-identical across its origin, a fork, and a from-scratch rebuild —
+// the property the refinement driver's reproducibility (and the engine
+// cache's correctness) rests on.
 func TestQuantEngineGoldenEquivalence(t *testing.T) {
 	presets := []struct {
 		name string
@@ -28,52 +27,37 @@ func TestQuantEngineGoldenEquivalence(t *testing.T) {
 			cfg := p.cfg
 			cfg.InjectErrors = true // error model on: the RNG streams must stay aligned too
 
-			serial, err := NewEngine(plan, cfg, 31)
+			origin, err := NewEngine(plan, cfg, 31)
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial.Parallelism = 1
-			par, err := NewEngine(plan, cfg, 31)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par.Parallelism = 8
 			rebuilt, err := NewEngine(plan, cfg, 31)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rebuilt.Parallelism = 4
-			fork := serial.Fork()
-			fork.Parallelism = 8
-			if serial.Clusters() < 2 {
-				t.Fatalf("test system has %d clusters; parallelism untested", serial.Clusters())
-			}
+			fork := origin.Fork()
 
 			rng := rand.New(rand.NewSource(17))
 			x := make([]float64, m.Cols())
-			ys := make([]float64, m.Rows())
-			yp := make([]float64, m.Rows())
+			yo := make([]float64, m.Rows())
 			yr := make([]float64, m.Rows())
 			yf := make([]float64, m.Rows())
 			for round := 0; round < 3; round++ {
 				for i := range x {
 					x[i] = rng.NormFloat64()
 				}
-				serial.Apply(ys, x)
-				par.Apply(yp, x)
+				origin.Apply(yo, x)
 				rebuilt.Apply(yr, x)
 				fork.Apply(yf, x)
-				for i := range ys {
-					if ys[i] != yp[i] || ys[i] != yr[i] || ys[i] != yf[i] {
-						t.Fatalf("round %d row %d: serial %x parallel %x rebuilt %x fork %x",
-							round, i, ys[i], yp[i], yr[i], yf[i])
+				for i := range yo {
+					if yo[i] != yr[i] || yo[i] != yf[i] {
+						t.Fatalf("round %d row %d: origin %x rebuilt %x fork %x",
+							round, i, yo[i], yr[i], yf[i])
 					}
 				}
 			}
-			ss, ps := serial.Stats(), par.Stats()
-			ss.ColumnSlicesUsed, ps.ColumnSlicesUsed = nil, nil
-			if !reflect.DeepEqual(ss, ps) {
-				t.Errorf("stats diverge:\nserial   %+v\nparallel %+v", ss, ps)
+			if o, r := origin.Stats(), rebuilt.Stats(); !reflect.DeepEqual(o, r) {
+				t.Errorf("stats diverge:\norigin  %+v\nrebuilt %+v", o, r)
 			}
 		})
 	}

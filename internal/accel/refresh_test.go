@@ -149,7 +149,6 @@ func TestRefreshSelfHealing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.Parallelism = 1
 		policy := DefaultRefreshPolicy()
 		policy.MinDecodes = 1
 		policy.CooldownOps = 1

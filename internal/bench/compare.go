@@ -112,8 +112,8 @@ type Report struct {
 // either suite. It refuses to compare suites recorded at different
 // presets, whose workload sizes differ by construction, or at different
 // GOMAXPROCS, whose parallel workloads run different code: with more
-// than one proc the engine fans clusters out to worker goroutines, which
-// changes both time and allocations per op.
+// than one proc engine programming and ApplyBatch fan out to worker
+// goroutines, which changes both time and allocations per op.
 func Compare(base, head *Suite, cfg CompareConfig) (*Report, error) {
 	if base.Preset != head.Preset {
 		return nil, fmt.Errorf("bench: preset mismatch: old %q vs new %q", base.Preset, head.Preset)

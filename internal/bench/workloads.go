@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"memsci/internal/accel"
@@ -32,8 +31,7 @@ var DeterministicMetrics = map[string]bool{
 func All() []Benchmark {
 	return []Benchmark{
 		{Name: "engine/program", Setup: setupEngineProgram},
-		{Name: "engine/apply/serial", Setup: func(p Preset) (*Instance, error) { return setupEngineApply(p, 1) }},
-		{Name: "engine/apply/parallel", Setup: func(p Preset) (*Instance, error) { return setupEngineApply(p, runtime.GOMAXPROCS(0)) }},
+		{Name: "engine/apply/serial", Setup: setupEngineApply},
 		{Name: "engine/apply/batch", Setup: setupEngineApplyBatch},
 		{Name: "engine/apply/inject", Setup: setupEngineApplyInject},
 		{Name: "solve/csr/cg", Setup: func(p Preset) (*Instance, error) { return setupCSRSolve(p, "cg") }},
@@ -99,9 +97,9 @@ func setupEngineProgram(p Preset) (*Instance, error) {
 }
 
 // setupEngineApply times one full-operator MVM through the cluster
-// pipeline at the given worker count, and derives ADC-conversion
-// throughput from the engine's hardware counters over the timed window.
-func setupEngineApply(p Preset, workers int) (*Instance, error) {
+// pipeline, and derives ADC-conversion throughput from the engine's
+// hardware counters over the timed window.
+func setupEngineApply(p Preset) (*Instance, error) {
 	plan, err := enginePlan(p)
 	if err != nil {
 		return nil, err
@@ -110,7 +108,6 @@ func setupEngineApply(p Preset, workers int) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.Parallelism = workers
 	xrng := rand.New(rand.NewSource(4))
 	x := make([]float64, eng.Cols())
 	for i := range x {
@@ -129,7 +126,6 @@ func setupEngineApply(p Preset, workers int) (*Instance, error) {
 			s := eng.TakeStats()
 			return map[string]float64{
 				"clusters":                float64(eng.Clusters()),
-				"workers":                 float64(workers),
 				"adc_conversions_per_sec": float64(s.Conversions) * perSec(1, total),
 				"slices_per_sec":          float64(s.VectorSlicesApplied) * perSec(1, total),
 			}
@@ -205,7 +201,6 @@ func setupEngineApplyInject(p Preset) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.Parallelism = 1
 	xrng := rand.New(rand.NewSource(4))
 	x := make([]float64, eng.Cols())
 	for i := range x {

@@ -204,14 +204,23 @@ type View struct {
 	State   State     `json:"state"`
 	Tenant  string    `json:"tenant,omitempty"`
 	Created time.Time `json:"created"`
-	// Started/Finished are zero until the transition happens.
-	Started  time.Time `json:"started,omitzero"`
-	Finished time.Time `json:"finished,omitzero"`
+	// Started/Finished are nil until the transition happens.
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
 	// QueueMS is time from creation to start (or to now while queued).
 	QueueMS float64 `json:"queue_ms"`
 	Error   string  `json:"error,omitempty"`
 	// Result is the solve response for terminal Done jobs.
 	Result any `json:"result,omitempty"`
+}
+
+// optTime returns nil for the zero time, so a View omits a transition
+// that has not happened.
+func optTime(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
 }
 
 // View snapshots the job.
@@ -223,8 +232,8 @@ func (j *Job) View() View {
 		State:    j.state,
 		Tenant:   j.Tenant,
 		Created:  j.created,
-		Started:  j.started,
-		Finished: j.finished,
+		Started:  optTime(j.started),
+		Finished: optTime(j.finished),
 		Error:    j.errMsg,
 		Result:   j.result,
 	}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestJobLifecycle(t *testing.T) {
 	if v.State != StateDone || v.Error != "" || v.Result == nil {
 		t.Fatalf("view %+v", v)
 	}
-	if v.Started.IsZero() || v.Finished.IsZero() || v.QueueMS < 0 {
+	if v.Started == nil || v.Finished == nil || v.QueueMS < 0 {
 		t.Fatalf("timestamps missing in %+v", v)
 	}
 	// Terminal event sealed the log.
@@ -41,6 +42,52 @@ func TestJobLifecycle(t *testing.T) {
 	if !closed || len(evs) != 1 || evs[0].Type != EventDone || evs[0].State != StateDone {
 		t.Fatalf("events %+v closed=%v", evs, closed)
 	}
+}
+
+// TestViewJSONTimestamps: a view's "started" and "finished" keys are
+// absent until the transition happens, then RFC 3339 times.
+func TestViewJSONTimestamps(t *testing.T) {
+	s := NewStore(StoreConfig{})
+	j, err := s.Create("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := func() map[string]json.RawMessage {
+		t.Helper()
+		b, err := json.Marshal(j.View())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	check := func(m map[string]json.RawMessage, key string, want bool) {
+		t.Helper()
+		raw, ok := m[key]
+		if ok != want {
+			t.Fatalf("%q present = %v, want %v (state %s)", key, ok, want, j.State())
+		}
+		var at time.Time
+		if ok {
+			if err := json.Unmarshal(raw, &at); err != nil || at.IsZero() {
+				t.Fatalf("%q = %s: %v", key, raw, err)
+			}
+		}
+	}
+	m := keys()
+	check(m, "started", false)
+	check(m, "finished", false)
+	j.Start()
+	m = keys()
+	check(m, "started", true)
+	check(m, "finished", false)
+	j.Finish(StateDone, nil, "")
+	m = keys()
+	check(m, "started", true)
+	check(m, "finished", true)
 }
 
 func TestShedFromQueue(t *testing.T) {

@@ -34,10 +34,11 @@ type Study struct {
 	// Seed + 1000·t (+7 for non-baseline), so configurations face
 	// comparable error draws.
 	Seed int64
-	// Parallelism bounds the worker goroutines trials run on; <= 0
-	// selects runtime.GOMAXPROCS. Trials are independent — each builds
-	// its own seeded engine — and per-trial results are reduced in trial
-	// order, so parallel sweeps are deterministic.
+	// Parallelism bounds the worker goroutines trials run on, and the
+	// workers of the probe and scenario engines' batches; <= 0 selects
+	// runtime.GOMAXPROCS. Trials are independent — each builds its own
+	// seeded engine — and per-trial results are reduced in trial order,
+	// so parallel sweeps are deterministic.
 	Parallelism int
 }
 

@@ -163,9 +163,6 @@ func (s *Study) RunScenario(sc ScenarioConfig) (*ScenarioResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.Parallelism > 0 {
-		clean.Parallelism = s.Parallelism
-	}
 	if res.CleanSolveRel, err = s.trueSolveRel(clean, b); err != nil {
 		return nil, err
 	}

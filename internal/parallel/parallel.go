@@ -1,9 +1,8 @@
 // Package parallel provides the bounded fan-out primitive behind the
-// engine's concurrent cluster execution and the Monte-Carlo harness. The
-// accelerator runs 16 clusters per bank × 128 banks concurrently (§III,
-// §VI); the functional simulation mirrors that with a worker pool sized
-// to the host, while callers keep per-index results and merge them in a
-// fixed order so that parallel runs stay bit-identical to serial ones.
+// engine's block programming, its multi-RHS batches and the Monte-Carlo
+// harness: units of independent work that each take milliseconds.
+// Callers keep per-index results and merge them in a fixed order, so
+// parallel runs stay bit-identical to serial ones.
 package parallel
 
 import (

@@ -82,9 +82,10 @@ type CacheConfig struct {
 	// share its programmed planes and cost no programming.
 	PoolSize int
 	// EngineParallelism overrides Engine.Parallelism on programmed
-	// engines (0 keeps the engine default). A serving process handling
-	// many concurrent solves typically wants 1 to avoid oversubscribing
-	// the worker pool.
+	// engines (0 keeps the engine default): the workers a batched solve
+	// (Engine.ApplyBatch) spreads its right-hand sides over. A serving
+	// process handling many concurrent solves typically wants 1 to
+	// avoid oversubscribing the CPUs.
 	EngineParallelism int
 }
 

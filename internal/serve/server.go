@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -141,7 +143,8 @@ func (c Config) withDefaults() Config {
 		c.RefineCluster = core.ReducedSliceConfig(DefaultRefineBits)
 	}
 	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
+		// Enabled is false at every level, so log calls format nothing.
+		c.Logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	if c.TraceRingSize <= 0 {
 		c.TraceRingSize = 64

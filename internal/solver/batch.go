@@ -8,8 +8,8 @@ import (
 
 // BatchOperator applies one linear operator to a batch of vectors:
 // ys[k] = A·xs[k]. The accelerator engine satisfies it with
-// accel.Engine.ApplyBatch (pipelined over cached per-worker forks of one
-// programmed matrix), and CSROperator satisfies it with a serial loop —
+// accel.Engine.ApplyBatch (pipelined over the engine and cached forks of
+// one programmed matrix), and CSROperator satisfies it with a serial loop —
 // so the lockstep batch solver below runs unchanged on either backend.
 type BatchOperator interface {
 	Operator
@@ -48,17 +48,6 @@ func Tee(ms ...Monitor) Monitor {
 	}
 }
 
-// cgSystem is the per-RHS state of one system inside CGBatch, mirroring
-// the locals of the serial CG loop exactly.
-type cgSystem struct {
-	res     *Result
-	monitor Monitor
-	r, z, p []float64
-	ap      []float64
-	rz      float64
-	normB   float64
-}
-
 // CGBatch solves A·x = bs[k] for every right-hand side in lockstep: each
 // outer iteration issues one BatchOperator.ApplyBatch over the still-
 // active systems' direction vectors, then advances every system's scalar
@@ -92,31 +81,15 @@ func CGBatch(a BatchOperator, bs [][]float64, opt Options, monitors []Monitor) (
 	if err := checkDiag(opt.Diag, n); err != nil {
 		return nil, err
 	}
-	var invDiag []float64
-	if opt.Diag != nil {
-		invDiag = make([]float64, n)
-		for i, d := range opt.Diag {
-			if d == 0 {
-				return nil, fmt.Errorf("solver: zero diagonal at %d for Jacobi preconditioner", i)
-			}
-			invDiag[i] = 1 / d
-		}
-	}
-	precond := func(z, r []float64) {
-		if invDiag == nil {
-			copy(z, r)
-			return
-		}
-		for i := range z {
-			z[i] = invDiag[i] * r[i]
-		}
+	invDiag, err := invertDiag(opt.Diag)
+	if err != nil {
+		return nil, err
 	}
 
 	results := make([]*Result, len(bs))
-	systems := make([]*cgSystem, 0, len(bs))
 	active := make([]*cgSystem, 0, len(bs))
 	for k, b := range bs {
-		sys := &cgSystem{res: &Result{X: make([]float64, n)}}
+		sys := &cgSystem{res: &Result{X: make([]float64, n)}, invDiag: invDiag}
 		if monitors != nil {
 			sys.monitor = monitors[k]
 		}
@@ -124,16 +97,9 @@ func CGBatch(a BatchOperator, bs [][]float64, opt Options, monitors []Monitor) (
 		sys.normB = sparse.Norm2(b)
 		if sys.normB == 0 {
 			sys.res.Converged = true
-			systems = append(systems, sys)
 			continue
 		}
-		sys.r = sparse.CopyVec(b)
-		sys.z = make([]float64, n)
-		precond(sys.z, sys.r)
-		sys.p = sparse.CopyVec(sys.z)
-		sys.ap = make([]float64, n)
-		sys.rz = sparse.Dot(sys.r, sys.z)
-		systems = append(systems, sys)
+		sys.start(b)
 		active = append(active, sys)
 	}
 
@@ -156,37 +122,9 @@ func CGBatch(a BatchOperator, bs [][]float64, opt Options, monitors []Monitor) (
 
 		still := active[:0]
 		for _, sys := range active {
-			res := sys.res
-			pap := sparse.Dot(sys.p, sys.ap)
-			if pap == 0 {
-				res.Breakdown = true
-				continue // drops out of the batch
+			if !sys.step(k+1, &opt) {
+				still = append(still, sys)
 			}
-			alpha := sys.rz / pap
-			sparse.Axpy(alpha, sys.p, res.X)
-			sparse.Axpy(-alpha, sys.ap, sys.r)
-			res.Iterations = k + 1
-
-			rn := sparse.Norm2(sys.r) / sys.normB
-			res.Residual = rn
-			if opt.RecordResiduals {
-				res.Residuals = append(res.Residuals, rn)
-			}
-			if sys.monitor != nil {
-				sys.monitor(res.Iterations, rn)
-			}
-			if rn <= opt.Tol {
-				res.Converged = true
-				continue
-			}
-			precond(sys.z, sys.r)
-			rzNew := sparse.Dot(sys.r, sys.z)
-			beta := rzNew / sys.rz
-			sys.rz = rzNew
-			for i := range sys.p {
-				sys.p[i] = sys.z[i] + beta*sys.p[i]
-			}
-			still = append(still, sys)
 		}
 		// Zero dropped tail pointers so finished systems' vectors are
 		// collectable on long remaining runs.

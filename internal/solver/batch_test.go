@@ -96,8 +96,8 @@ func TestCGBatchMatchesSerialCSR(t *testing.T) {
 }
 
 // TestCGBatchMatchesSerialAccel: the same equivalence holds on the
-// functional crossbar engine, where ApplyBatch fans the batch over
-// cached forks — the server-side coalescing path.
+// functional crossbar engine, where ApplyBatch spreads the batch over
+// the engine and its cached forks — the server-side coalescing path.
 func TestCGBatchMatchesSerialAccel(t *testing.T) {
 	m := batchPoisson(48)
 	plan, err := blocking.Preprocess(m, blocking.DefaultSubstrate())

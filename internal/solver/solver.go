@@ -127,9 +127,9 @@ func checkCtx(opt Options, iters int) error {
 }
 
 // fire invokes the optional per-iteration monitor. Each solver calls it
-// exactly once per Result.Iterations increment, so a monitor sees every
-// counted iteration — including the one a breakdown or early convergence
-// exit ends on.
+// (CG and CGBatch call their monitor from cgSystem.step) exactly once per
+// Result.Iterations increment, so a monitor sees every counted iteration
+// — including the one a breakdown or early convergence exit ends on.
 func (opt *Options) fire(k int, rn float64) {
 	if opt.Monitor != nil {
 		opt.Monitor(k, rn)
@@ -157,75 +157,118 @@ func CG(a Operator, b []float64, opt Options) (*Result, error) {
 	if err := checkDiag(opt.Diag, n); err != nil {
 		return nil, err
 	}
-	res := &Result{X: make([]float64, n)}
-	normB := sparse.Norm2(b)
-	if normB == 0 {
-		res.Converged = true
-		return res, nil
+	s := cgSystem{res: &Result{X: make([]float64, n)}, monitor: opt.Monitor}
+	s.normB = sparse.Norm2(b)
+	if s.normB == 0 {
+		s.res.Converged = true
+		return s.res, nil
 	}
-
-	var invDiag []float64
-	if opt.Diag != nil {
-		invDiag = make([]float64, n)
-		for i, d := range opt.Diag {
-			if d == 0 {
-				return nil, fmt.Errorf("solver: zero diagonal at %d for Jacobi preconditioner", i)
-			}
-			invDiag[i] = 1 / d
-		}
+	var err error
+	if s.invDiag, err = invertDiag(opt.Diag); err != nil {
+		return nil, err
 	}
-	precond := func(z, r []float64) {
-		if invDiag == nil {
-			copy(z, r)
-			return
-		}
-		for i := range z {
-			z[i] = invDiag[i] * r[i]
-		}
-	}
-
-	r := sparse.CopyVec(b) // r = b - A·0
-	z := make([]float64, n)
-	precond(z, r)
-	p := sparse.CopyVec(z)
-	ap := make([]float64, n)
-	rz := sparse.Dot(r, z)
+	s.start(b)
 
 	limit := maxIter(opt, n)
 	for k := 0; k < limit; k++ {
-		if err := checkCtx(opt, res.Iterations); err != nil {
-			return res, err
+		if err := checkCtx(opt, s.res.Iterations); err != nil {
+			return s.res, err
 		}
-		a.Apply(ap, p)
-		pap := sparse.Dot(p, ap)
-		if pap == 0 {
-			res.Breakdown = true
+		a.Apply(s.ap, s.p)
+		if s.step(k+1, &opt) {
 			break
-		}
-		alpha := rz / pap
-		sparse.Axpy(alpha, p, res.X)
-		sparse.Axpy(-alpha, ap, r)
-		res.Iterations = k + 1
-
-		rn := sparse.Norm2(r) / normB
-		res.Residual = rn
-		if opt.RecordResiduals {
-			res.Residuals = append(res.Residuals, rn)
-		}
-		opt.fire(res.Iterations, rn)
-		if rn <= opt.Tol {
-			res.Converged = true
-			break
-		}
-		precond(z, r)
-		rzNew := sparse.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
 		}
 	}
-	return res, nil
+	return s.res, nil
+}
+
+// cgSystem is the state of one conjugate-gradient system: the
+// Hestenes-Stiefel recurrence that CG runs once and CGBatch runs per
+// right-hand side.
+type cgSystem struct {
+	res     *Result
+	monitor Monitor
+	invDiag []float64 // Jacobi inverse diagonal; nil = unpreconditioned
+	r, z, p []float64
+	ap      []float64 // A·p, written by the caller before each step
+	rz      float64
+	normB   float64
+}
+
+// start sets up the recurrence from x₀ = 0: r = b, z = M⁻¹·r, p = z.
+func (s *cgSystem) start(b []float64) {
+	s.r = sparse.CopyVec(b)
+	s.z = make([]float64, len(b))
+	precondition(s.z, s.r, s.invDiag)
+	s.p = sparse.CopyVec(s.z)
+	s.ap = make([]float64, len(b))
+	s.rz = sparse.Dot(s.r, s.z)
+}
+
+// step finishes iteration iter once s.ap holds A·p: p·Ap, α, the x and
+// r updates, the residual (recorded and passed to the monitor), the
+// convergence test, then the preconditioner, β and the new direction.
+// It reports whether the system is done (converged or broken down).
+func (s *cgSystem) step(iter int, opt *Options) bool {
+	res := s.res
+	pap := sparse.Dot(s.p, s.ap)
+	if pap == 0 {
+		res.Breakdown = true
+		return true
+	}
+	alpha := s.rz / pap
+	sparse.Axpy(alpha, s.p, res.X)
+	sparse.Axpy(-alpha, s.ap, s.r)
+	res.Iterations = iter
+
+	rn := sparse.Norm2(s.r) / s.normB
+	res.Residual = rn
+	if opt.RecordResiduals {
+		res.Residuals = append(res.Residuals, rn)
+	}
+	if s.monitor != nil {
+		s.monitor(iter, rn)
+	}
+	if rn <= opt.Tol {
+		res.Converged = true
+		return true
+	}
+	precondition(s.z, s.r, s.invDiag)
+	rzNew := sparse.Dot(s.r, s.z)
+	beta := rzNew / s.rz
+	s.rz = rzNew
+	for i := range s.p {
+		s.p[i] = s.z[i] + beta*s.p[i]
+	}
+	return false
+}
+
+// invertDiag returns the Jacobi preconditioner's inverse diagonal, or
+// nil when diag is nil. A zero diagonal entry is an error.
+func invertDiag(diag []float64) ([]float64, error) {
+	if diag == nil {
+		return nil, nil
+	}
+	inv := make([]float64, len(diag))
+	for i, d := range diag {
+		if d == 0 {
+			return nil, fmt.Errorf("solver: zero diagonal at %d for Jacobi preconditioner", i)
+		}
+		inv[i] = 1 / d
+	}
+	return inv, nil
+}
+
+// precondition sets z = M⁻¹·r for the Jacobi preconditioner with inverse
+// diagonal invDiag, or z = r when invDiag is nil.
+func precondition(z, r, invDiag []float64) {
+	if invDiag == nil {
+		copy(z, r)
+		return
+	}
+	for i := range z {
+		z[i] = invDiag[i] * r[i]
+	}
 }
 
 // BiCGSTAB solves A·x = b for general A by the stabilized biconjugate
@@ -238,12 +281,9 @@ func BiCGSTAB(a Operator, b []float64, opt Options) (*Result, error) {
 		if err := checkDiag(opt.Diag, len(b)); err != nil {
 			return nil, err
 		}
-		inv := make([]float64, len(opt.Diag))
-		for i, d := range opt.Diag {
-			if d == 0 {
-				return nil, fmt.Errorf("solver: zero diagonal at %d for Jacobi preconditioner", i)
-			}
-			inv[i] = 1 / d
+		inv, err := invertDiag(opt.Diag)
+		if err != nil {
+			return nil, err
 		}
 		scaled := make([]float64, len(b))
 		for i := range b {
